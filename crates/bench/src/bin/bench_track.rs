@@ -19,6 +19,9 @@
 //! * `--date YYYY-MM-DD`: also write the new record alone to
 //!   `DIR/BENCH_<date>.json`, the per-run snapshot CI uploads.
 //!
+//! A missing flag value or an unknown flag is a typed usage error: the
+//! message and usage line go to stderr and the exit code is 2.
+//!
 //! Replaces `scripts/plb_bench_gate.sh`: the shell gate compared six
 //! criterion point estimates against a committed baseline file with a
 //! blunt 5× factor; this gate compares median-of-K samples of ten
@@ -29,6 +32,10 @@
 use toto_bench::track::{any_regression, gate_record, render_verdicts, run_suite};
 use toto_fleet::{current_commit, BenchRecord, RunStore};
 
+const USAGE: &str =
+    "usage: bench_track [--gate] [--dry-run] [--out DIR] [--commit HASH] [--date YYYY-MM-DD]";
+
+#[derive(Debug, PartialEq, Eq)]
 struct Args {
     gate: bool,
     dry_run: bool,
@@ -37,7 +44,28 @@ struct Args {
     date: Option<String>,
 }
 
-fn parse_args() -> Args {
+/// Why the command line was rejected. `main` prints it with the usage
+/// line and exits with code 2.
+#[derive(Debug, PartialEq, Eq)]
+enum UsageError {
+    /// `--help` was asked for; not an error, but nothing runs.
+    Help,
+    MissingValue(&'static str),
+    UnknownFlag(String),
+}
+
+impl std::fmt::Display for UsageError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            UsageError::Help => write!(f, "{USAGE}"),
+            UsageError::MissingValue(flag) => write!(f, "{flag} requires a value\n{USAGE}"),
+            UsageError::UnknownFlag(flag) => write!(f, "unknown flag {flag:?}\n{USAGE}"),
+        }
+    }
+}
+
+/// Parse the arguments after the program name.
+fn parse_args<I: IntoIterator<Item = String>>(argv: I) -> Result<Args, UsageError> {
     let mut args = Args {
         gate: false,
         dry_run: false,
@@ -45,33 +73,34 @@ fn parse_args() -> Args {
         commit: None,
         date: None,
     };
-    let mut argv = std::env::args().skip(1);
+    let mut argv = argv.into_iter();
     while let Some(flag) = argv.next() {
-        let mut value = |name: &str| {
-            argv.next()
-                .unwrap_or_else(|| panic!("{name} requires a value"))
-        };
+        let mut value = |name: &'static str| argv.next().ok_or(UsageError::MissingValue(name));
         match flag.as_str() {
             "--gate" => args.gate = true,
             "--dry-run" => args.dry_run = true,
-            "--out" => args.out = value("--out"),
-            "--commit" => args.commit = Some(value("--commit")),
-            "--date" => args.date = Some(value("--date")),
-            "--help" | "-h" => {
-                eprintln!(
-                    "usage: bench_track [--gate] [--dry-run] [--out DIR] \
-                     [--commit HASH] [--date YYYY-MM-DD]"
-                );
-                std::process::exit(0);
-            }
-            other => panic!("unknown flag {other:?} (try --help)"),
+            "--out" => args.out = value("--out")?,
+            "--commit" => args.commit = Some(value("--commit")?),
+            "--date" => args.date = Some(value("--date")?),
+            "--help" | "-h" => return Err(UsageError::Help),
+            _ => return Err(UsageError::UnknownFlag(flag)),
         }
     }
-    args
+    Ok(args)
 }
 
 fn main() {
-    let args = parse_args();
+    let args = match parse_args(std::env::args().skip(1)) {
+        Ok(args) => args,
+        Err(UsageError::Help) => {
+            eprintln!("{USAGE}");
+            std::process::exit(0);
+        }
+        Err(e) => {
+            eprintln!("bench_track: {e}");
+            std::process::exit(2);
+        }
+    };
     let store = RunStore::new(&args.out);
     let prior = match store.load_bench_records() {
         Ok(records) => records,
@@ -118,5 +147,44 @@ fn main() {
              vs its trailing median (see table above)"
         );
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(list: &[&str]) -> Result<Args, UsageError> {
+        parse_args(list.iter().map(|s| s.to_string()))
+    }
+
+    #[test]
+    fn flags_parse_into_args() {
+        let args = parse(&["--gate", "--out", "dir", "--commit", "abc"]).unwrap();
+        assert!(args.gate && !args.dry_run);
+        assert_eq!(args.out, "dir");
+        assert_eq!(args.commit.as_deref(), Some("abc"));
+        assert_eq!(args.date, None);
+    }
+
+    #[test]
+    fn a_flag_without_its_value_is_a_usage_error() {
+        assert_eq!(
+            parse(&["--dry-run", "--out"]),
+            Err(UsageError::MissingValue("--out"))
+        );
+        assert_eq!(parse(&["--date"]), Err(UsageError::MissingValue("--date")));
+    }
+
+    #[test]
+    fn an_unknown_flag_is_a_usage_error() {
+        let err = parse(&["--gate", "--frobnicate"]).unwrap_err();
+        assert_eq!(err, UsageError::UnknownFlag("--frobnicate".to_string()));
+        assert!(err.to_string().contains("usage: bench_track"));
+    }
+
+    #[test]
+    fn help_is_not_a_run() {
+        assert_eq!(parse(&["-h"]), Err(UsageError::Help));
     }
 }

@@ -16,7 +16,7 @@ use toto_simcore::time::SimTime;
 /// key is exactly reconstructible from the cached cost bits (which
 /// [`Cluster::invariants_ok`] verifies bitwise).
 #[inline]
-fn cost_key(cost: f64) -> u64 {
+pub(crate) fn cost_key(cost: f64) -> u64 {
     let bits = cost.to_bits();
     if bits >> 63 == 1 {
         !bits

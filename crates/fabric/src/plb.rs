@@ -25,7 +25,7 @@
 
 use std::collections::BTreeSet;
 
-use crate::cluster::{Cluster, ReplicaRole, ServiceSpec};
+use crate::cluster::{cost_key, Cluster, ReplicaRole, ServiceSpec};
 use crate::ids::{MetricId, NodeId, ReplicaId, ServiceId};
 use crate::metrics::LoadVec;
 use toto_simcore::rng::DetRng;
@@ -156,13 +156,27 @@ pub struct FailoverEvent {
 /// shrunk). Holding them on the `Plb` never aliases cluster state: every
 /// decision method rebuilds the buffers it uses from the cluster it is
 /// handed before reading them.
+///
+/// `order` is the one buffer carried from call to call: the previous
+/// placement's rank order, a hint that makes the next ranking sort
+/// cheap. It cannot alias decisions either. Rank keys are unique (the
+/// node id breaks every tie), so the sorted result is the same whatever
+/// order the keys arrive in; a hint from another cluster of a different
+/// size is replaced by `0..n`, and one of the same size is still a
+/// permutation of its nodes. Debug builds check the ranking against a
+/// from-scratch sort on every placement.
 #[derive(Clone, Debug, Default)]
 struct Scratch {
-    /// `(marginal cost, node)` pairs ranked ascending for placement.
-    ranked: Vec<(f64, NodeId)>,
-    /// Marginal placement cost per node, indexed by raw node id; stale
-    /// entries are overwritten before each use.
+    /// Placement rank keys (see [`Plb::place_new_service`]), one per node.
+    ranked: Vec<u128>,
+    /// Every node in the last placement's rank order: feasible nodes
+    /// cheapest first, then infeasible ones by id.
+    order: Vec<NodeId>,
+    /// Marginal placement cost per node, indexed by raw node id
+    /// (infinite where the service does not fit).
     marginal: Vec<f64>,
+    /// Whether the service being placed fits each node, by raw node id.
+    fits: Vec<bool>,
     /// Candidate nodes for the current decision, in evaluation order.
     candidates: Vec<NodeId>,
     /// Memoized per-candidate target costs, parallel to `candidates`.
@@ -212,6 +226,10 @@ impl Plb {
     /// count forces one.
     const DOMAIN_COLLISION_PENALTY: f64 = 10.0;
 
+    /// Rank of an infeasible node in placement ranking: above every
+    /// `cost_key`, so infeasible nodes sort after all feasible ones.
+    const INFEASIBLE_RANK: u128 = 1 << 64;
+
     /// Number of same-domain pairs collapsed to `n - distinct_domains`.
     /// `scratch` is a reusable working buffer (cleared on entry).
     fn domain_collisions(cluster: &Cluster, nodes: &[NodeId], scratch: &mut Vec<u32>) -> f64 {
@@ -238,11 +256,13 @@ impl Plb {
     /// nodes, primary first. Does not mutate the cluster.
     ///
     /// The marginal cost of each feasible node is computed exactly once
-    /// per decision, before sorting; the greedy sort, the annealing loop
-    /// and the final primary sort all read the precomputed table. With a
-    /// cached per-node base cost this makes a placement decision
-    /// O(nodes × metrics + n log n + iterations) instead of
-    /// O(n log n × metrics) cost evaluations with an allocation each.
+    /// per decision, before sorting; the greedy pick, the annealing loop
+    /// and the final primary sort all read the precomputed table. The
+    /// ranking is an adaptive re-sort of integer keys from the previous
+    /// decision's rank order, which differs only where that decision
+    /// placed replicas. A bootstrap's run of placements therefore costs
+    /// O(nodes × metrics + iterations) each, plus a merge of a few
+    /// sorted runs instead of a fresh O(n log n) float sort.
     pub fn place_new_service(
         &mut self,
         cluster: &Cluster,
@@ -251,41 +271,86 @@ impl Plb {
         let k = spec.replica_count as usize;
         assert!(k >= 1, "services need at least one replica");
         let headroom = self.config.placement_headroom;
-        // Rank feasible nodes by marginal cost (computed once per node —
-        // the comparator only reads precomputed keys). `total_cmp` gives
-        // a total order even for NaN, so the sort cannot panic.
-        let ranked = &mut self.scratch.ranked;
-        ranked.clear();
+        let Scratch {
+            ranked,
+            order,
+            marginal,
+            fits,
+            domains: counts,
+            ..
+        } = &mut self.scratch;
+        // Marginal cost of each feasible node, computed once per node in
+        // node-id order; every later step reads this table.
+        marginal.clear();
+        fits.clear();
+        let mut found: usize = 0;
         for n in cluster.nodes() {
-            if Self::fits(cluster, n.id, &spec.default_load, headroom) {
-                ranked.push((Self::add_cost(cluster, n.id, &spec.default_load), n.id));
-            }
+            let ok = Self::fits(cluster, n.id, &spec.default_load, headroom);
+            fits.push(ok);
+            marginal.push(if ok {
+                found += 1;
+                Self::add_cost(cluster, n.id, &spec.default_load)
+            } else {
+                f64::INFINITY
+            });
         }
-        if ranked.len() < k {
-            let found = ranked.len() as u32;
+        if found < k {
             toto_trace::emit(toto_trace::EventKind::PlacementRejected, || {
                 toto_trace::EventBody::PlacementRejected {
                     needed: u64::from(spec.replica_count),
-                    feasible: u64::from(found),
+                    feasible: found as u64,
                 }
             });
             return Err(PlacementError::NotEnoughNodes {
                 needed: spec.replica_count,
-                feasible: found,
+                feasible: found as u32,
             });
         }
-        ranked.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        // Marginal-cost lookup table for the anneal, indexed by raw node
-        // id, plus the feasible set in rank order.
-        let marginal = &mut self.scratch.marginal;
-        marginal.clear();
-        marginal.resize(cluster.node_count(), f64::INFINITY);
-        for &(cost, n) in ranked.iter() {
-            marginal[n.0 as usize] = cost;
+        // Rank every node on a unique integer key: feasible nodes by
+        // `(cost_key(marginal), id)` — the `total_cmp`-then-id order —
+        // then infeasible nodes by id. Keys arrive in the previous
+        // decision's rank order, in which only the nodes that decision
+        // placed onto have moved, so the adaptive stable sort merges a
+        // few runs instead of sorting from scratch. Unique keys make the
+        // result independent of the arrival order.
+        if order.len() != cluster.node_count() {
+            order.clear();
+            order.extend(cluster.nodes().iter().map(|n| n.id));
         }
-        let feasible = &mut self.scratch.candidates;
-        feasible.clear();
-        feasible.extend(ranked.iter().map(|&(_, n)| n));
+        ranked.clear();
+        ranked.extend(order.iter().map(|&n| {
+            let i = n.0 as usize;
+            let rank = if fits[i] {
+                u128::from(cost_key(marginal[i]))
+            } else {
+                Self::INFEASIBLE_RANK
+            };
+            rank << 32 | u128::from(n.0)
+        }));
+        ranked.sort();
+        order.clear();
+        order.extend(ranked.iter().map(|&key| NodeId(key as u32)));
+        let feasible = &order[..found];
+        if cfg!(debug_assertions) {
+            // Oracle: the ranking recomputed from scratch must equal the
+            // adaptive one bitwise, whatever the hint held.
+            let mut oracle: Vec<(f64, NodeId)> = cluster
+                .nodes()
+                .iter()
+                .filter(|n| Self::fits(cluster, n.id, &spec.default_load, headroom))
+                .map(|n| (Self::add_cost(cluster, n.id, &spec.default_load), n.id))
+                .collect();
+            oracle.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+            debug_assert!(
+                oracle
+                    .iter()
+                    .map(|&(cost, n)| (cost.to_bits(), n))
+                    .eq(feasible
+                        .iter()
+                        .map(|&n| (marginal[n.0 as usize].to_bits(), n))),
+                "adaptive placement ranking diverged from a from-scratch sort"
+            );
+        }
         // Greedy start: cheapest nodes first, preferring fault domains not
         // already used by this placement.
         let mut chosen: Vec<NodeId> = Vec::with_capacity(k);
@@ -316,15 +381,8 @@ impl Plb {
             // nothing; the collision count is maintained in O(1) per swap
             // from per-domain membership counts (`collisions = k −
             // distinct domains`) instead of re-sorted every iteration.
-            let counts = &mut self.scratch.domains;
             counts.clear();
-            let max_domain = cluster
-                .nodes()
-                .iter()
-                .map(|n| n.fault_domain)
-                .max()
-                .unwrap_or(0);
-            counts.resize(max_domain as usize + 1, 0);
+            counts.resize(cluster.fault_domain_count(), 0);
             let mut distinct: usize = 0;
             for &n in chosen.iter() {
                 let d = cluster.node(n).fault_domain as usize;

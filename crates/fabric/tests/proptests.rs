@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 use toto_fabric::cluster::{Cluster, ClusterConfig, ServiceSpec};
-use toto_fabric::ids::{MetricId, ServiceId};
+use toto_fabric::ids::{MetricId, NodeId, ServiceId};
 use toto_fabric::metrics::{MetricDef, MetricRegistry};
 use toto_fabric::plb::{Plb, PlbConfig};
 use toto_simcore::time::SimTime;
@@ -101,7 +101,117 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
+/// Placement traffic on ring-sized clusters: mixed-shape creates,
+/// drops, load reports and node drains, the inputs that move nodes
+/// around the PLB's placement ranking between decisions.
+#[derive(Debug, Clone)]
+enum PlaceOp {
+    Create { cpu: f64, disk: f64, replicas: u32 },
+    Remove { index: usize },
+    Report { index: usize, disk: f64 },
+    SetUp { node: u32, up: bool },
+}
+
+fn create_op() -> impl Strategy<Value = PlaceOp> {
+    (1.0f64..48.0, 1.0f64..1_200.0, 1u32..=4).prop_map(|(cpu, disk, replicas)| PlaceOp::Create {
+        cpu,
+        disk,
+        replicas,
+    })
+}
+
+fn place_op_strategy() -> impl Strategy<Value = PlaceOp> {
+    // `create_op` is listed twice so creates are two fifths of traffic.
+    prop_oneof![
+        create_op(),
+        create_op(),
+        (0usize..256).prop_map(|index| PlaceOp::Remove { index }),
+        (0usize..256, 0.0f64..2_400.0).prop_map(|(index, disk)| PlaceOp::Report { index, disk }),
+        (0u32..160, any::<bool>()).prop_map(|(node, up)| PlaceOp::SetUp { node, up }),
+    ]
+}
+
+/// Run `ops` on a `first`-node cluster and then on a fresh `second`-node
+/// one with the same `Plb`, so the second cluster starts from a rank
+/// hint of the wrong length. Returns every placement decision in order
+/// (`None` for a rejection).
+fn run_placement_script(
+    ops: &[PlaceOp],
+    first: u32,
+    second: u32,
+    fault_domains: u32,
+    seed: u64,
+) -> Vec<Option<Vec<NodeId>>> {
+    let mut plb = Plb::new(PlbConfig::default(), seed);
+    let mut decisions = Vec::new();
+    for nodes in [first, second] {
+        let (mut cluster, cpu, disk) = ring_cluster(nodes, fault_domains);
+        let mut services: Vec<ServiceId> = Vec::new();
+        for op in ops {
+            match *op {
+                PlaceOp::Create {
+                    cpu: c,
+                    disk: d,
+                    replicas,
+                } => {
+                    let mut load = cluster.metrics().zero_load();
+                    load[cpu] = c;
+                    load[disk] = d;
+                    let spec = ServiceSpec {
+                        name: "db".into(),
+                        tag: 0,
+                        replica_count: replicas,
+                        default_load: load,
+                    };
+                    match plb.create_service(&mut cluster, &spec, SimTime::ZERO) {
+                        Ok(id) => {
+                            let service = cluster.service(id).unwrap();
+                            let placed: Vec<NodeId> = service
+                                .replicas
+                                .iter()
+                                .map(|&r| cluster.replica(r).unwrap().node)
+                                .collect();
+                            let mut distinct = placed.clone();
+                            distinct.sort_unstable();
+                            distinct.dedup();
+                            assert_eq!(distinct.len(), placed.len(), "replicas colocated");
+                            assert!(placed.iter().all(|&n| cluster.node(n).up));
+                            decisions.push(Some(placed));
+                            services.push(id);
+                        }
+                        Err(_) => decisions.push(None),
+                    }
+                }
+                PlaceOp::Remove { index } => {
+                    if !services.is_empty() {
+                        let id = services.remove(index % services.len());
+                        assert!(cluster.remove_service(id).is_some());
+                    }
+                }
+                PlaceOp::Report { index, disk: d } => {
+                    if !services.is_empty() {
+                        let id = services[index % services.len()];
+                        let rid = cluster.service(id).unwrap().replicas[0];
+                        cluster.report_load(rid, disk, d);
+                    }
+                }
+                PlaceOp::SetUp { node, up } => {
+                    cluster.set_node_up(NodeId(node % nodes), up);
+                }
+            }
+        }
+        cluster.check_invariants();
+    }
+    decisions
+}
+
 fn build_cluster() -> (Cluster, MetricId, MetricId) {
+    ring_cluster(8, 1)
+}
+
+/// A `nodes`-node cluster over `fault_domains` domains with a Cpu and a
+/// Disk metric.
+fn ring_cluster(nodes: u32, fault_domains: u32) -> (Cluster, MetricId, MetricId) {
     let mut metrics = MetricRegistry::new();
     let cpu = metrics.register(MetricDef {
         name: "Cpu".into(),
@@ -115,9 +225,9 @@ fn build_cluster() -> (Cluster, MetricId, MetricId) {
     });
     (
         Cluster::new(ClusterConfig {
-            node_count: 8,
+            node_count: nodes,
             metrics,
-            fault_domains: 1,
+            fault_domains,
         }),
         cpu,
         disk,
@@ -368,5 +478,27 @@ proptest! {
         let id = cluster.add_service(&spec, &placement, SimTime::ZERO);
         cluster.check_invariants();
         prop_assert_eq!(cluster.service(id).unwrap().replicas.len(), replicas as usize);
+    }
+
+    #[test]
+    fn reused_plb_places_identically_across_replays_and_ring_sizes(
+        head in create_op(),
+        tail in prop::collection::vec(place_op_strategy(), 0..120),
+        first in 64u32..=160,
+        shift in 1u32..=96,
+        fault_domains in 1u32..=8,
+        seed: u64,
+    ) {
+        // The placement ranking re-sorts from the previous decision's
+        // order; the hint may only change speed. Debug builds assert each
+        // ranking against a from-scratch sort, so any divergence panics
+        // here. Two identically seeded replays, each reusing one `Plb`
+        // across two ring sizes, must decide identically.
+        let second = 64 + (first - 64 + shift) % 97;
+        let ops: Vec<PlaceOp> = std::iter::once(head).chain(tail).collect();
+        let a = run_placement_script(&ops, first, second, fault_domains, seed);
+        let b = run_placement_script(&ops, first, second, fault_domains, seed);
+        prop_assert!(a.iter().any(Option::is_some));
+        prop_assert_eq!(a, b, "placements diverged across identically seeded replays");
     }
 }
