@@ -438,16 +438,12 @@ impl DensityExperiment {
                 let node = NodeId(i as u32);
                 sim.scheduler()
                     .schedule_at(t_drain, move |s: &mut ExperimentState, sc| {
-                        let events = {
-                            let mut plb = s.plb.clone();
-                            // A drain blocked by a last-live-replica conflict
-                            // skips this node's upgrade slot (it stays up).
-                            let ev = plb
-                                .drain_node(&mut s.cluster, node, sc.now())
-                                .unwrap_or_default();
-                            s.plb = plb;
-                            ev
-                        };
+                        // A drain blocked by a last-live-replica conflict
+                        // skips this node's upgrade slot (it stays up).
+                        let events = s
+                            .plb
+                            .drain_node(&mut s.cluster, node, sc.now())
+                            .unwrap_or_default();
                         // Drain moves reset non-persisted state but are not
                         // capacity-violation failovers.
                         process_failovers(s, events);
@@ -470,57 +466,11 @@ impl DensityExperiment {
                 if t >= end {
                     continue;
                 }
-                match fault.action {
-                    ChaosAction::Crash {
-                        node,
-                        downtime_secs,
-                    } => sim
-                        .scheduler()
-                        .schedule_at(t, move |s: &mut ExperimentState, sc| {
-                            chaos_crash(s, sc, node, downtime_secs)
-                        }),
-                    ChaosAction::Drain {
-                        node,
-                        downtime_secs,
-                    } => sim
-                        .scheduler()
-                        .schedule_at(t, move |s: &mut ExperimentState, sc| {
-                            chaos_drain(s, sc, node, downtime_secs)
-                        }),
-                    ChaosAction::Decommission { node } => sim
-                        .scheduler()
-                        .schedule_at(t, move |s: &mut ExperimentState, sc| {
-                            chaos_decommission(s, sc, node)
-                        }),
-                    ChaosAction::Degrade { resource, factor } => sim
-                        .scheduler()
-                        .schedule_at(t, move |s: &mut ExperimentState, sc| {
-                            chaos_degrade(s, sc, resource, factor)
-                        }),
-                    ChaosAction::RestoreCapacity { resource } => sim
-                        .scheduler()
-                        .schedule_at(t, move |s: &mut ExperimentState, sc| {
-                            chaos_restore_capacity(s, sc, resource)
-                        }),
-                    ChaosAction::ReportLossStart { drop_probability } => sim
-                        .scheduler()
-                        .schedule_at(t, move |s: &mut ExperimentState, sc| {
-                            chaos_report_loss_start(s, sc, drop_probability)
-                        }),
-                    ChaosAction::ReportLossEnd => sim
-                        .scheduler()
-                        .schedule_at(t, |s: &mut ExperimentState, sc| {
-                            chaos_report_loss_end(s, sc)
-                        }),
-                    ChaosAction::Storm {
-                        node_count,
-                        downtime_secs,
-                    } => sim
-                        .scheduler()
-                        .schedule_at(t, move |s: &mut ExperimentState, sc| {
-                            chaos_storm(s, sc, node_count, downtime_secs)
-                        }),
-                }
+                let action = fault.action;
+                sim.scheduler()
+                    .schedule_at(t, move |s: &mut ExperimentState, sc| {
+                        apply_fault(s, sc, action)
+                    });
             }
             // The invariant oracles audit the state after every dispatched
             // event while chaos is active. Take/put-back keeps the oracle's
@@ -777,14 +727,11 @@ fn process_failovers(state: &mut ExperimentState, events: Vec<FailoverEvent>) {
 fn plb_tick(state: &mut ExperimentState, sched: &mut Scheduler<ExperimentState>) {
     let now = sched.now();
     let tick = SimDuration::from_secs(300);
-    let mut plb = state.plb.clone();
-    let events = plb.fix_violations(&mut state.cluster, now);
-    let mut all_events = events;
+    let mut events = state.plb.fix_violations(&mut state.cluster, now);
     if state.balance_during_run {
-        all_events.extend(plb.balance(&mut state.cluster, now));
+        events.extend(state.plb.balance(&mut state.cluster, now));
     }
-    state.plb = plb;
-    process_failovers(state, all_events);
+    process_failovers(state, events);
     // Unresolved *disk* violations are customer-visible: a database on a
     // node whose disk capacity is breached is "temporarily needing to
     // wait for resources it has requested" (§1) — failed writes, dropped
@@ -1078,16 +1025,40 @@ fn chaos_pick_victim(state: &mut ExperimentState, requested: Option<u32>) -> Opt
     }
 }
 
+/// Dispatch one compiled chaos action to its handler.
+fn apply_fault(
+    state: &mut ExperimentState,
+    sched: &mut Scheduler<ExperimentState>,
+    action: ChaosAction,
+) {
+    match action {
+        ChaosAction::Crash {
+            node,
+            downtime_secs,
+        } => chaos_crash(state, sched, node, downtime_secs),
+        ChaosAction::Drain {
+            node,
+            downtime_secs,
+        } => chaos_drain(state, sched, node, downtime_secs),
+        ChaosAction::Decommission { node } => chaos_decommission(state, sched, node),
+        ChaosAction::Degrade { resource, factor } => chaos_degrade(state, sched, resource, factor),
+        ChaosAction::RestoreCapacity { resource } => chaos_restore_capacity(state, sched, resource),
+        ChaosAction::ReportLossStart { drop_probability } => {
+            chaos_report_loss_start(state, sched, drop_probability)
+        }
+        ChaosAction::ReportLossEnd => chaos_report_loss_end(state, sched),
+        ChaosAction::Storm {
+            node_count,
+            downtime_secs,
+        } => chaos_storm(state, sched, node_count, downtime_secs),
+    }
+}
+
 /// Crash one node through the PLB and return (failovers, cores moved),
 /// measured from the telemetry the crash appended.
 fn chaos_crash_one(state: &mut ExperimentState, node: NodeId, now: SimTime) -> (u64, f64) {
     let before = state.telemetry.failovers.len();
-    let events = {
-        let mut plb = state.plb.clone();
-        let ev = plb.crash_node(&mut state.cluster, node, now);
-        state.plb = plb;
-        ev
-    };
+    let events = state.plb.crash_node(&mut state.cluster, node, now);
     process_failovers(state, events);
     let moved = &state.telemetry.failovers[before..];
     (
@@ -1197,12 +1168,7 @@ fn chaos_drain(
         return;
     }
     let node = NodeId(node_raw);
-    let result = {
-        let mut plb = state.plb.clone();
-        let r = plb.drain_node(&mut state.cluster, node, now);
-        state.plb = plb;
-        r
-    };
+    let result = state.plb.drain_node(&mut state.cluster, node, now);
     let at_secs = chaos_at_secs(state, now);
     match result {
         Ok(events) => {
@@ -1261,12 +1227,7 @@ fn chaos_decommission(
     let Some(node) = chaos_pick_victim(state, requested) else {
         return;
     };
-    let result = {
-        let mut plb = state.plb.clone();
-        let r = plb.drain_node(&mut state.cluster, node, now);
-        state.plb = plb;
-        r
-    };
+    let result = state.plb.drain_node(&mut state.cluster, node, now);
     let at_secs = chaos_at_secs(state, now);
     match result {
         Ok(events) => {

@@ -24,6 +24,9 @@
 //!   `results/benchdata.json` series of commit-stamped benchmark
 //!   records (whole-file rewrites through a temp file + atomic rename),
 //!   so performance trajectories survive across PRs.
+//! * **Shared formats** ([`json`], [`toml`]): the workspace's one JSON
+//!   document model and its one TOML-subset parser (scenario files and
+//!   `lint.toml` both parse through [`toml::RawDoc`]).
 //!
 //! [`FleetJob`]: job::FleetJob
 //! [`FleetObserver`]: executor::FleetObserver
@@ -32,6 +35,7 @@ pub mod executor;
 pub mod job;
 pub mod json;
 pub mod store;
+pub mod toml;
 
 pub use executor::{
     CancelToken, FleetExecutor, FleetObserver, FleetReport, JobOutcome, JobProgress, JobReport,
@@ -40,7 +44,7 @@ pub use executor::{
 pub use job::{density_fleet, FleetJob, FleetPlan, FleetTask, JobOutput};
 pub use json::Json;
 pub use store::{
-    current_commit, kpis_from_json, kpis_to_json, revenue_from_json, revenue_to_json, BenchEntry,
-    BenchRecord, FleetManifest, ManifestJob, RunRecord, RunStore, BENCH_SCHEMA_VERSION,
-    RUN_SCHEMA_VERSION,
+    chaos_report_to_json, current_commit, kpis_from_json, kpis_to_json, revenue_from_json,
+    revenue_to_json, BenchEntry, BenchRecord, FleetManifest, ManifestJob, RunRecord, RunStore,
+    BENCH_SCHEMA_VERSION, RUN_SCHEMA_VERSION,
 };

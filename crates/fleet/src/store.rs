@@ -17,6 +17,8 @@
 //! results/
 //!   runs/<fleet>/manifest.json        (FleetManifest)
 //!   runs/<fleet>/<job-label>.json     (RunRecord, one per job)
+//!   runs/<fleet>/<job-label>.trace    (opt-in trace sidecar)
+//!   runs/<fleet>/<job-label>.chaos.json (ChaosReport sidecar)
 //!   benchdata.json                    (append-only BenchRecord array:
 //!                                      commit-stamped benchmark samples)
 //! ```
@@ -24,11 +26,14 @@
 //! Every record and manifest carries [`RUN_SCHEMA_VERSION`]; loading a
 //! record with a different version is an error, not a silent reinterpretation.
 
+use crate::executor::FleetReport;
+use crate::job::JobOutput;
 use crate::json::Json;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 use toto::experiment::ExperimentResult;
+use toto_chaos::ChaosReport;
 use toto_telemetry::kpi::KpiSummary;
 use toto_telemetry::revenue::RevenueBreakdown;
 
@@ -211,6 +216,37 @@ pub fn revenue_from_json(json: &Json) -> Result<RevenueBreakdown, String> {
     })
 }
 
+/// Schema version of the `<label>.chaos.json` sidecar, independent of
+/// [`RUN_SCHEMA_VERSION`].
+pub const CHAOS_SCHEMA_VERSION: u64 = 1;
+
+/// Render a chaos report as the `<label>.chaos.json` sidecar object.
+/// Absent options (`node`, `recovery_secs`) render as `null`.
+pub fn chaos_report_to_json(report: &ChaosReport) -> Json {
+    let opt = |v: Option<u64>| v.map_or(Json::Null, Json::Uint);
+    let faults = report
+        .faults
+        .iter()
+        .map(|f| {
+            Json::obj(vec![
+                ("at_secs", Json::Uint(f.at_secs)),
+                ("kind", Json::Str(f.kind.clone())),
+                ("node", opt(f.node.map(u64::from))),
+                ("failovers", Json::Uint(f.failovers)),
+                ("failed_over_cores", Json::Num(f.failed_over_cores)),
+                ("redirects_delta", Json::Uint(f.redirects_delta)),
+                ("recovery_secs", opt(f.recovery_secs)),
+            ])
+        })
+        .collect();
+    Json::obj(vec![
+        ("schema_version", Json::Uint(CHAOS_SCHEMA_VERSION)),
+        ("faults", Json::Arr(faults)),
+        ("oracle_checks", Json::Uint(report.oracle_checks)),
+        ("oracle_violations", Json::Uint(report.oracle_violations)),
+    ])
+}
+
 /// One job's entry in a fleet manifest.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ManifestJob {
@@ -242,6 +278,28 @@ pub struct FleetManifest {
 }
 
 impl FleetManifest {
+    /// The manifest of a finished fleet run: the report's thread count
+    /// and timings, one entry per job in submission order.
+    pub fn from_report<O>(fleet: &str, root_seed: u64, report: &FleetReport<O>) -> Self {
+        FleetManifest {
+            schema_version: RUN_SCHEMA_VERSION,
+            fleet: fleet.to_string(),
+            root_seed,
+            threads: report.threads as u64,
+            wall_secs: report.wall_secs,
+            jobs: report
+                .jobs
+                .iter()
+                .map(|j| ManifestJob {
+                    label: j.label.clone(),
+                    seed: j.seed,
+                    status: j.outcome.status().to_string(),
+                    wall_secs: j.wall_secs,
+                })
+                .collect(),
+        }
+    }
+
     /// Serialize.
     pub fn to_json(&self) -> Json {
         Json::obj(vec![
@@ -512,6 +570,32 @@ impl RunStore {
         Ok(dir)
     }
 
+    /// Persist a finished fleet of density jobs: the manifest, one run
+    /// record per completed job, and each completed job's trace and
+    /// chaos sidecars. Returns the fleet directory and the records.
+    pub fn save_report(
+        &self,
+        fleet: &str,
+        root_seed: u64,
+        report: &FleetReport<JobOutput>,
+    ) -> io::Result<(PathBuf, Vec<RunRecord>)> {
+        let records: Vec<RunRecord> = report
+            .completed()
+            .map(|(job, out)| RunRecord::from_result(&job.label, job.seed, &out.result))
+            .collect();
+        let manifest = FleetManifest::from_report(fleet, root_seed, report);
+        let dir = self.save_fleet(&manifest, &records)?;
+        for (job, out) in report.completed() {
+            if let Some(trace) = &out.trace {
+                self.save_trace(fleet, &job.label, trace)?;
+            }
+            if let Some(chaos) = &out.result.chaos {
+                self.save_chaos(fleet, &job.label, chaos)?;
+            }
+        }
+        Ok((dir, records))
+    }
+
     /// Write one job's encoded trace stream as a `<label>.trace` sidecar
     /// next to its run record. Traces are opt-in (see `FleetJob::trace`)
     /// and, like records, are pure functions of the job descriptor — two
@@ -533,11 +617,16 @@ impl RunStore {
     /// Like the record, the report is a pure function of (spec, seed);
     /// chaos fleets use their own fleet name so pinned plain-run
     /// artifacts are never touched.
-    pub fn save_chaos(&self, fleet: &str, label: &str, json: &str) -> io::Result<PathBuf> {
+    pub fn save_chaos(
+        &self,
+        fleet: &str,
+        label: &str,
+        report: &ChaosReport,
+    ) -> io::Result<PathBuf> {
         let dir = self.fleet_dir(fleet);
         fs::create_dir_all(&dir)?;
         let path = dir.join(format!("{label}.chaos.json"));
-        fs::write(&path, json)?;
+        fs::write(&path, chaos_report_to_json(report).render())?;
         Ok(path)
     }
 
@@ -752,6 +841,112 @@ mod tests {
             vec![2.5, 3.0]
         );
 
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn manifest_from_report_lists_every_job_in_submission_order() {
+        use crate::executor::{JobOutcome, JobReport};
+        let outcomes = [
+            JobOutcome::Completed(()),
+            JobOutcome::Failed("boom".into()),
+            JobOutcome::Cancelled,
+        ];
+        let report = FleetReport {
+            jobs: outcomes
+                .into_iter()
+                .enumerate()
+                .map(|(index, outcome)| JobReport {
+                    index,
+                    label: format!("job{index}"),
+                    seed: 100 + index as u64,
+                    outcome,
+                    wall_secs: index as f64 * 0.5,
+                })
+                .collect(),
+            threads: 3,
+            wall_secs: 2.0,
+        };
+        let m = FleetManifest::from_report("study", 42, &report);
+        assert_eq!(
+            (m.schema_version, m.fleet.as_str(), m.root_seed, m.threads),
+            (RUN_SCHEMA_VERSION, "study", 42, 3)
+        );
+        assert_eq!(m.wall_secs, 2.0);
+        let jobs: Vec<_> = m
+            .jobs
+            .iter()
+            .map(|j| (j.label.as_str(), j.seed, j.status.as_str(), j.wall_secs))
+            .collect();
+        assert_eq!(
+            jobs,
+            [
+                ("job0", 100, "completed", 0.0),
+                ("job1", 101, "failed", 0.5),
+                ("job2", 102, "cancelled", 1.0)
+            ]
+        );
+    }
+
+    #[test]
+    fn chaos_sidecar_round_trips_every_field() {
+        use toto_chaos::ChaosFaultRecord;
+        let report = ChaosReport {
+            faults: vec![
+                ChaosFaultRecord {
+                    at_secs: 7200,
+                    kind: "node_crash".into(),
+                    node: Some(3),
+                    failovers: 5,
+                    failed_over_cores: 40.5,
+                    redirects_delta: 2,
+                    recovery_secs: Some(1800),
+                },
+                ChaosFaultRecord {
+                    at_secs: 10800,
+                    kind: "decommission".into(),
+                    node: None,
+                    failovers: 0,
+                    failed_over_cores: 0.0,
+                    redirects_delta: 0,
+                    recovery_secs: None,
+                },
+            ],
+            oracle_checks: 1234,
+            oracle_violations: 0,
+        };
+        let dir = std::env::temp_dir().join(format!(
+            "toto-chaos-sidecar-test-{}-{}",
+            std::process::id(),
+            line!()
+        ));
+        let _ = fs::remove_dir_all(&dir);
+        let store = RunStore::new(&dir);
+        store.save_chaos("chaos", "density-120", &report).unwrap();
+        let bytes = store.chaos_bytes("chaos", "density-120").unwrap();
+        let json = Json::parse(&String::from_utf8(bytes).unwrap()).unwrap();
+
+        // Every key and value of the sidecar's earlier hand-written
+        // layout, absent options as `null`; only key order and
+        // whitespace changed.
+        let legacy = r#"{
+  "schema_version": 1,
+  "faults": [
+    {"at_secs": 7200, "kind": "node_crash", "node": 3, "failovers": 5, "failed_over_cores": 40.5, "redirects_delta": 2, "recovery_secs": 1800},
+    {"at_secs": 10800, "kind": "decommission", "node": null, "failovers": 0, "failed_over_cores": 0.0, "redirects_delta": 0, "recovery_secs": null}
+  ],
+  "oracle_checks": 1234,
+  "oracle_violations": 0
+}
+"#;
+        assert_eq!(json, Json::parse(legacy).unwrap());
+
+        let empty =
+            r#"{"schema_version": 1, "faults": [], "oracle_checks": 0, "oracle_violations": 0}"#;
+        assert_eq!(
+            chaos_report_to_json(&ChaosReport::default()),
+            Json::parse(empty).unwrap()
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 

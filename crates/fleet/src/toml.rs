@@ -1,17 +1,35 @@
-//! The scenario file syntax: a zero-dependency TOML subset.
+//! The workspace's one TOML-subset parser.
 //!
-//! Same idiom as the linter's `lint.toml` parser — the build environment
-//! has no TOML crate, so we parse exactly the subset scenarios use and
-//! reject everything else loudly: `[section]` headers (dotted names
-//! allowed), `[[array-of-tables]]` headers, `key = value` assignments
-//! where a value is a quoted string, a number, `true`/`false`, or a
-//! flat array of those, and `#` comments. Unlike the linter config the
-//! grammar is *generic* at this layer: any section or key parses, and
-//! the typed layer ([`crate::doc`]) rejects names it does not know —
-//! keeping "is this well-formed?" separate from "is this a scenario?".
+//! The build environment has no TOML crate, so this module parses
+//! exactly the subset the workspace's config files use and rejects
+//! everything else loudly: `[section]` headers (dotted names allowed),
+//! `[[array-of-tables]]` headers, `key = value` assignments where a
+//! value is a quoted string, a number, `true`/`false`, or a flat array
+//! of those, and `#` comments. The grammar is *generic* at this layer:
+//! any section or key parses, and each consumer's typed layer (the
+//! scenario DSL's `ScenarioDoc`, the linter's `lint.toml` config)
+//! rejects names it does not know — keeping "is this well-formed?"
+//! separate from "is this a scenario / a lint config?".
 
-use crate::error::ScenarioError;
 use std::collections::BTreeMap;
+use std::fmt;
+
+/// A syntax error: the input is not in the supported TOML subset.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct TomlError {
+    /// 1-based line of the offending construct.
+    pub line: usize,
+    /// What was wrong.
+    pub message: String,
+}
+
+impl fmt::Display for TomlError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "line {}: {}", self.line, self.message)
+    }
+}
+
+impl std::error::Error for TomlError {}
 
 /// A parsed scalar or flat array.
 #[derive(Clone, Debug, PartialEq)]
@@ -52,7 +70,7 @@ pub struct RawDoc {
 
 impl RawDoc {
     /// Parse a document. Syntax errors are typed with their line.
-    pub fn parse(text: &str) -> Result<RawDoc, ScenarioError> {
+    pub fn parse(text: &str) -> Result<RawDoc, TomlError> {
         let mut doc = RawDoc::default();
         // Where the next `key = value` lands: the root table (before any
         // header), a named section, or the latest [[array]] entry.
@@ -76,7 +94,7 @@ impl RawDoc {
             if let Some(header) = line.strip_prefix('[').and_then(|l| l.strip_suffix(']')) {
                 let name = parse_section_name(header, lineno)?;
                 if doc.sections.contains_key(&name) {
-                    return Err(ScenarioError::Parse {
+                    return Err(TomlError {
                         line: lineno,
                         message: format!("duplicate section [{name}]"),
                     });
@@ -85,24 +103,24 @@ impl RawDoc {
                 target = Target::Section(name);
                 continue;
             }
-            let (key, raw_value) = line.split_once('=').ok_or_else(|| ScenarioError::Parse {
+            let (key, raw_value) = line.split_once('=').ok_or_else(|| TomlError {
                 line: lineno,
                 message: "expected `key = value`, `[section]` or `[[table]]`".to_string(),
             })?;
             let key = key.trim();
             if key.is_empty() || !key.bytes().all(|b| b.is_ascii_alphanumeric() || b == b'_') {
-                return Err(ScenarioError::Parse {
+                return Err(TomlError {
                     line: lineno,
                     message: format!("malformed key {key:?}"),
                 });
             }
-            let value = parse_value(raw_value.trim()).ok_or_else(|| ScenarioError::Parse {
+            let value = parse_value(raw_value.trim()).ok_or_else(|| TomlError {
                 line: lineno,
                 message: format!("malformed value for `{key}`"),
             })?;
             let table = match &target {
                 Target::Root => {
-                    return Err(ScenarioError::Parse {
+                    return Err(TomlError {
                         line: lineno,
                         message: format!("key `{key}` appears before any [section] header"),
                     });
@@ -110,7 +128,7 @@ impl RawDoc {
                 Target::Section(name) => match doc.sections.get_mut(name) {
                     Some((_, t)) => t,
                     None => {
-                        return Err(ScenarioError::Parse {
+                        return Err(TomlError {
                             line: lineno,
                             message: "internal: key targets a missing section".to_string(),
                         })
@@ -125,7 +143,7 @@ impl RawDoc {
                     match entries {
                         Some(t) => t,
                         None => {
-                            return Err(ScenarioError::Parse {
+                            return Err(TomlError {
                                 line: lineno,
                                 message: "internal: array entry without table".to_string(),
                             })
@@ -134,7 +152,7 @@ impl RawDoc {
                 }
             };
             if table.contains_key(key) {
-                return Err(ScenarioError::Parse {
+                return Err(TomlError {
                     line: lineno,
                     message: format!("duplicate key `{key}`"),
                 });
@@ -151,7 +169,7 @@ impl RawDoc {
     }
 }
 
-fn parse_section_name(header: &str, lineno: usize) -> Result<String, ScenarioError> {
+fn parse_section_name(header: &str, lineno: usize) -> Result<String, TomlError> {
     let name = header.trim();
     let ok = !name.is_empty()
         && name
@@ -160,7 +178,7 @@ fn parse_section_name(header: &str, lineno: usize) -> Result<String, ScenarioErr
         && !name.starts_with('.')
         && !name.ends_with('.');
     if !ok {
-        return Err(ScenarioError::Parse {
+        return Err(TomlError {
             line: lineno,
             message: format!("malformed section name {name:?}"),
         });
@@ -322,41 +340,27 @@ weight = 1.0
     #[test]
     fn malformed_value_is_a_typed_parse_error_with_line() {
         let err = RawDoc::parse("[scenario]\nseed = @nope\n").unwrap_err();
-        match err {
-            ScenarioError::Parse { line, message } => {
-                assert_eq!(line, 2);
-                assert!(message.contains("seed"), "{message}");
-            }
-            other => panic!("expected Parse, got {other:?}"),
-        }
+        assert_eq!(err.line, 2);
+        assert!(err.message.contains("seed"), "{}", err.message);
     }
 
     #[test]
     fn duplicate_keys_and_sections_are_rejected() {
         let err = RawDoc::parse("[a]\nx = 1\nx = 2\n").unwrap_err();
-        assert!(
-            matches!(err, ScenarioError::Parse { line: 3, .. }),
-            "{err:?}"
-        );
+        assert_eq!(err.line, 3, "{err:?}");
         let err = RawDoc::parse("[a]\n[a]\n").unwrap_err();
-        assert!(
-            matches!(err, ScenarioError::Parse { line: 2, .. }),
-            "{err:?}"
-        );
+        assert_eq!(err.line, 2, "{err:?}");
     }
 
     #[test]
     fn keys_before_any_section_are_rejected() {
         let err = RawDoc::parse("x = 1\n").unwrap_err();
-        assert!(
-            matches!(err, ScenarioError::Parse { line: 1, .. }),
-            "{err:?}"
-        );
+        assert_eq!(err.line, 1, "{err:?}");
     }
 
     #[test]
     fn nested_arrays_are_rejected() {
         let err = RawDoc::parse("[a]\nx = [[1], [2]]\n").unwrap_err();
-        assert!(matches!(err, ScenarioError::Parse { .. }), "{err:?}");
+        assert_eq!(err.line, 2, "{err:?}");
     }
 }

@@ -257,8 +257,8 @@ pub fn analyze(
             }
         }
 
-        for id in 0..n {
-            if !visited[id] {
+        for (id, &seen) in visited.iter().enumerate() {
+            if !seen {
                 continue;
             }
             let def = ws.fn_def(id);
@@ -334,13 +334,13 @@ pub fn analyze(
                 break;
             }
         }
-        for id in 0..n {
+        for (id, &emitted) in emits.iter().enumerate() {
             let def = ws.fn_def(id);
             let path = ws.fn_file(id);
             if !def.is_pub
                 || def.in_test
                 || def.body.is_none()
-                || emits[id]
+                || emitted
                 || !config.r002_paths.iter().any(|p| path_has_prefix(path, p))
                 || !takes_mut_state(ws.fn_tokens(id), def.params, &config.r002_mut_state_types)
             {
@@ -387,11 +387,14 @@ mod tests {
                 )
             })
             .collect();
-        let mut config = Config::default();
-        config.sim_path = vec!["crates/simcore".into(), "crates/core".into()];
-        // Make `fleet` a D002-allowed zone so its wall-clock sites escape
-        // the base rule — the exact scenario D004 exists to cover.
-        config.d002_allowed_paths = vec!["crates/fleet".into()];
+        let config = Config {
+            sim_path: vec!["crates/simcore".into(), "crates/core".into()],
+            // Make `fleet` a D002-allowed zone so its wall-clock sites
+            // escape the base rule — the exact scenario D004 exists to
+            // cover.
+            d002_allowed_paths: vec!["crates/fleet".into()],
+            ..Config::default()
+        };
         let ws = Workspace::build(&sources, &deps);
         let graph = CallGraph::build(&ws);
         analyze(&ws, &graph, &config)

@@ -28,14 +28,14 @@
 //! never touched.
 
 use toto_chaos::ChaosPlan;
-use toto_fleet::{
-    FleetExecutor, FleetManifest, ManifestJob, RunRecord, RunStore, StderrProgress,
-    RUN_SCHEMA_VERSION,
-};
+use toto_fleet::{FleetExecutor, RunStore, StderrProgress};
 use toto_region::{save_region_run, RegionRunner, RegionSpec};
 
 /// The §5.2 density ladder the job list cycles through.
 const DENSITIES: [u32; 4] = [100, 110, 120, 140];
+
+const USAGE: &str = "usage: fleet_runner [--jobs N] [--threads T] [--hours H] [--seed S] \
+                     [--out DIR] [--trace] [--chaos PLAN[@RING]] [--region SPEC]";
 
 struct Args {
     jobs: usize,
@@ -44,12 +44,62 @@ struct Args {
     seed: Option<u64>,
     out: String,
     trace: bool,
+    /// Name of the `--chaos` plan, which also names the chaos fleet.
     chaos: Option<String>,
+    /// The resolved `--chaos` plan (empty without the flag).
+    chaos_plan: ChaosPlan,
     chaos_ring: Option<String>,
     region: Option<String>,
 }
 
-fn parse_args() -> Args {
+/// Why the command line was rejected. `main` prints it with the usage
+/// line and exits with code 2.
+#[derive(Debug, PartialEq, Eq)]
+enum UsageError {
+    /// `--help` was asked for; not an error, but nothing runs.
+    Help,
+    MissingValue(&'static str),
+    NotAnInteger {
+        flag: &'static str,
+        value: String,
+    },
+    UnknownFlag(String),
+    UnknownChaosPlan(String),
+    /// `--chaos PLAN@RING` without `--region`.
+    RingWithoutRegion,
+    /// `--region SPEC` names no built-in and no readable, valid file.
+    BadRegion(String),
+}
+
+impl std::fmt::Display for UsageError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            UsageError::Help => write!(
+                f,
+                "{USAGE}\nnamed chaos plans: {}\nnamed regions: {}",
+                ChaosPlan::NAMED.join(", "),
+                RegionSpec::NAMED.join(", ")
+            ),
+            UsageError::MissingValue(flag) => write!(f, "{flag} requires a value\n{USAGE}"),
+            UsageError::NotAnInteger { flag, value } => {
+                write!(f, "{flag}: not an integer: {value:?}\n{USAGE}")
+            }
+            UsageError::UnknownFlag(flag) => write!(f, "unknown flag {flag:?}\n{USAGE}"),
+            UsageError::UnknownChaosPlan(name) => write!(
+                f,
+                "unknown chaos plan {name:?}; named plans: {}",
+                ChaosPlan::NAMED.join(", ")
+            ),
+            UsageError::RingWithoutRegion => {
+                write!(f, "--chaos PLAN@RING targets a ring; it requires --region")
+            }
+            UsageError::BadRegion(message) => write!(f, "--region {message}"),
+        }
+    }
+}
+
+/// Parse the arguments after the program name.
+fn parse_args<I: IntoIterator<Item = String>>(argv: I) -> Result<Args, UsageError> {
     let mut args = Args {
         jobs: DENSITIES.len(),
         threads: std::thread::available_parallelism().map_or(4, usize::from),
@@ -58,65 +108,80 @@ fn parse_args() -> Args {
         out: "results".to_string(),
         trace: false,
         chaos: None,
+        chaos_plan: ChaosPlan::default(),
         chaos_ring: None,
         region: None,
     };
-    let mut argv = std::env::args().skip(1);
+    let mut argv = argv.into_iter();
     while let Some(flag) = argv.next() {
-        let mut value = |name: &str| {
-            argv.next()
-                .unwrap_or_else(|| panic!("{name} requires a value"))
+        let mut value = |name: &'static str| argv.next().ok_or(UsageError::MissingValue(name));
+        let int = |name: &'static str, value: String| {
+            value
+                .parse::<u64>()
+                .map_err(|_| UsageError::NotAnInteger { flag: name, value })
         };
         match flag.as_str() {
-            "--jobs" => args.jobs = value("--jobs").parse().expect("--jobs: integer"),
-            "--threads" => args.threads = value("--threads").parse().expect("--threads: integer"),
-            "--hours" => args.hours = Some(value("--hours").parse().expect("--hours: integer")),
-            "--seed" => args.seed = Some(value("--seed").parse().expect("--seed: integer")),
-            "--out" => args.out = value("--out"),
+            "--jobs" => args.jobs = int("--jobs", value("--jobs")?)? as usize,
+            "--threads" => args.threads = int("--threads", value("--threads")?)? as usize,
+            "--hours" => args.hours = Some(int("--hours", value("--hours")?)?),
+            "--seed" => args.seed = Some(int("--seed", value("--seed")?)?),
+            "--out" => args.out = value("--out")?,
             "--trace" => args.trace = true,
             "--chaos" => {
-                let spec = value("--chaos");
-                match spec.split_once('@') {
-                    Some((plan, ring)) => {
-                        args.chaos = Some(plan.to_string());
-                        args.chaos_ring = Some(ring.to_string());
-                    }
-                    None => args.chaos = Some(spec),
-                }
+                let spec = value("--chaos")?;
+                let (plan, ring) = match spec.split_once('@') {
+                    Some((plan, ring)) => (plan.to_string(), Some(ring.to_string())),
+                    None => (spec, None),
+                };
+                args.chaos_plan = ChaosPlan::named(&plan)
+                    .ok_or_else(|| UsageError::UnknownChaosPlan(plan.clone()))?;
+                args.chaos = Some(plan);
+                args.chaos_ring = ring;
             }
-            "--region" => args.region = Some(value("--region")),
-            "--help" | "-h" => {
-                eprintln!(
-                    "usage: fleet_runner [--jobs N] [--threads T] [--hours H] \
-                     [--seed S] [--out DIR] [--trace] [--chaos PLAN[@RING]] [--region SPEC]\n\
-                     named chaos plans: {}\n\
-                     named regions: {}",
-                    ChaosPlan::NAMED.join(", "),
-                    RegionSpec::NAMED.join(", ")
-                );
-                std::process::exit(0);
-            }
-            other => panic!("unknown flag {other:?} (try --help)"),
+            "--region" => args.region = Some(value("--region")?),
+            "--help" | "-h" => return Err(UsageError::Help),
+            _ => return Err(UsageError::UnknownFlag(flag)),
         }
     }
-    args
-}
-
-fn resolve_region(spec: &str) -> RegionSpec {
-    if let Some(named) = RegionSpec::named(spec) {
-        return named;
+    if args.chaos_ring.is_some() && args.region.is_none() {
+        return Err(UsageError::RingWithoutRegion);
     }
-    let xml = std::fs::read_to_string(spec).unwrap_or_else(|e| {
-        panic!(
-            "--region {spec:?} is neither a named region ({}) nor a readable XML file: {e}",
-            RegionSpec::NAMED.join(", ")
-        )
-    });
-    RegionSpec::parse(&xml).unwrap_or_else(|e| panic!("--region {spec}: {}", e.message))
+    Ok(args)
 }
 
-fn run_region(args: &Args, chaos_plan: Option<ChaosPlan>) {
-    let mut spec = resolve_region(args.region.as_deref().unwrap());
+/// A named region, or a `<region>` XML file; a `--chaos PLAN@RING`
+/// target must name one of its rings.
+fn resolve_region(spec: &str, chaos_ring: Option<&str>) -> Result<RegionSpec, UsageError> {
+    let region = match RegionSpec::named(spec) {
+        Some(named) => named,
+        None => {
+            let xml = std::fs::read_to_string(spec).map_err(|e| {
+                UsageError::BadRegion(format!(
+                    "{spec:?} is neither a named region ({}) nor a readable XML file: {e}",
+                    RegionSpec::NAMED.join(", ")
+                ))
+            })?;
+            RegionSpec::parse(&xml)
+                .map_err(|e| UsageError::BadRegion(format!("{spec}: {}", e.message)))?
+        }
+    };
+    if let Some(ring) = chaos_ring {
+        if !region.rings.iter().any(|r| r.name == ring) {
+            return Err(UsageError::BadRegion(format!(
+                "{spec}: --chaos targets unknown ring {ring:?}"
+            )));
+        }
+    }
+    Ok(region)
+}
+
+/// Report a failed artifact write and exit 1.
+fn write_failed(what: &str, e: std::io::Error) -> ! {
+    eprintln!("fleet_runner: cannot write {what}: {e}");
+    std::process::exit(1);
+}
+
+fn run_region(args: &Args, mut spec: RegionSpec) {
     if let Some(seed) = args.seed {
         spec.seed = seed;
     }
@@ -130,7 +195,7 @@ fn run_region(args: &Args, chaos_plan: Option<ChaosPlan>) {
     let runner = RegionRunner {
         threads: args.threads,
         trace: args.trace,
-        chaos: chaos_plan.unwrap_or_default(),
+        chaos: args.chaos_plan.clone(),
         chaos_ring: args.chaos_ring.clone(),
     };
     eprintln!(
@@ -143,7 +208,8 @@ fn run_region(args: &Args, chaos_plan: Option<ChaosPlan>) {
     );
     let output = runner.run_observed(&spec, &fleet_name, &StderrProgress);
     let store = RunStore::new(&args.out);
-    let dir = save_region_run(&store, &output).expect("write region artifacts");
+    let dir =
+        save_region_run(&store, &output).unwrap_or_else(|e| write_failed("region artifacts", e));
 
     println!(
         "{:<12} {:>7} {:>6} {:>9} {:>8} {:>8} {:>8} {:>14}",
@@ -182,21 +248,27 @@ fn run_region(args: &Args, chaos_plan: Option<ChaosPlan>) {
 }
 
 fn main() {
-    let args = parse_args();
-    let chaos_plan = args.chaos.as_deref().map(|name| {
-        ChaosPlan::named(name).unwrap_or_else(|| {
-            panic!(
-                "unknown chaos plan {name:?}; named plans: {}",
-                ChaosPlan::NAMED.join(", ")
-            )
-        })
+    let parsed = parse_args(std::env::args().skip(1)).and_then(|args| {
+        let region = match &args.region {
+            Some(spec) => Some(resolve_region(spec, args.chaos_ring.as_deref())?),
+            None => None,
+        };
+        Ok((args, region))
     });
-    if args.region.is_some() {
-        run_region(&args, chaos_plan);
+    let (args, region) = match parsed {
+        Ok(parsed) => parsed,
+        Err(UsageError::Help) => {
+            eprintln!("{}", UsageError::Help);
+            std::process::exit(0);
+        }
+        Err(e) => {
+            eprintln!("fleet_runner: {e}");
+            std::process::exit(2);
+        }
+    };
+    if let Some(spec) = region {
+        run_region(&args, spec);
         return;
-    }
-    if args.chaos_ring.is_some() {
-        panic!("--chaos PLAN@RING targets a ring; it requires --region");
     }
     let hours = args.hours.unwrap_or(144);
     let seed = args.seed.unwrap_or(42);
@@ -207,7 +279,7 @@ fn main() {
         None => "fleet_runner".to_string(),
     };
     let overrides = || toto::experiment::ExperimentOverrides {
-        chaos: chaos_plan.clone().unwrap_or_default(),
+        chaos: args.chaos_plan.clone(),
         ..toto::experiment::ExperimentOverrides::default()
     };
     let densities: Vec<u32> = (0..args.jobs)
@@ -252,53 +324,20 @@ fn main() {
     let executor = FleetExecutor::new(args.threads);
     let report = executor.run(plan.jobs(), &StderrProgress);
 
-    let records: Vec<RunRecord> = report
-        .completed()
-        .map(|(job, out)| RunRecord::from_result(&job.label, job.seed, &out.result))
-        .collect();
-    let manifest = FleetManifest {
-        schema_version: RUN_SCHEMA_VERSION,
-        fleet: fleet_name,
-        root_seed: seed,
-        threads: report.threads as u64,
-        wall_secs: report.wall_secs,
-        jobs: report
-            .jobs
-            .iter()
-            .map(|j| ManifestJob {
-                label: j.label.clone(),
-                seed: j.seed,
-                status: j.outcome.status().to_string(),
-                wall_secs: j.wall_secs,
-            })
-            .collect(),
-    };
     let store = RunStore::new(&args.out);
-    let dir = store
-        .save_fleet(&manifest, &records)
-        .expect("write run artifacts");
-    for (job, out) in report.completed() {
-        if let Some(trace) = &out.trace {
-            store
-                .save_trace(&manifest.fleet, &job.label, trace)
-                .expect("write trace sidecar");
-        }
-        if let Some(chaos) = &out.result.chaos {
-            store
-                .save_chaos(&manifest.fleet, &job.label, &chaos.to_json())
-                .expect("write chaos sidecar");
-        }
-    }
+    let (dir, _) = store
+        .save_report(&fleet_name, seed, &report)
+        .unwrap_or_else(|e| write_failed("run artifacts", e));
     store
         .append_bench_record(&toto_fleet::BenchRecord::new(
             toto_fleet::current_commit(),
             vec![toto_fleet::BenchEntry {
-                name: format!("{}/jobs_per_sec", manifest.fleet),
+                name: format!("{fleet_name}/jobs_per_sec"),
                 unit: "jobs/s".to_string(),
                 value: report.jobs_per_sec(),
             }],
         ))
-        .expect("append benchdata.json");
+        .unwrap_or_else(|e| write_failed("benchdata.json", e));
 
     println!(
         "{:<24} {:>10} {:>14} {:>10} {:>10}",
@@ -345,5 +384,65 @@ fn main() {
     }
     if !report.all_completed() {
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Result<Args, UsageError> {
+        parse_args(line.split_whitespace().map(String::from))
+    }
+
+    #[test]
+    fn flags_parse_into_args() {
+        let args = parse(
+            "--jobs 8 --threads 2 --hours 6 --seed 7 --out dir --trace \
+             --chaos storm@east --region ci2",
+        )
+        .unwrap();
+        assert_eq!((args.jobs, args.threads), (8, 2));
+        assert_eq!((args.hours, args.seed), (Some(6), Some(7)));
+        assert_eq!(args.out, "dir");
+        assert!(args.trace);
+        assert_eq!(args.chaos.as_deref(), Some("storm"));
+        assert_eq!(args.chaos_plan, ChaosPlan::named("storm").unwrap());
+        assert_eq!(args.chaos_ring.as_deref(), Some("east"));
+        assert_eq!(args.region.as_deref(), Some("ci2"));
+    }
+
+    #[test]
+    fn bad_values_are_typed_usage_errors() {
+        let not_an_integer = UsageError::NotAnInteger {
+            flag: "--jobs",
+            value: "x".to_string(),
+        };
+        assert_eq!(parse("--jobs x").err(), Some(not_an_integer));
+        assert_eq!(
+            parse("--seed").err(),
+            Some(UsageError::MissingValue("--seed"))
+        );
+        let err = parse("--frobnicate").err().unwrap();
+        assert_eq!(err, UsageError::UnknownFlag("--frobnicate".to_string()));
+        assert!(err.to_string().contains("usage: fleet_runner"));
+        let meteor = UsageError::UnknownChaosPlan("meteor".to_string());
+        assert_eq!(parse("--chaos meteor").err(), Some(meteor));
+        let no_region = parse("--chaos storm@east").err();
+        assert_eq!(no_region, Some(UsageError::RingWithoutRegion));
+        assert_eq!(parse("-h").err(), Some(UsageError::Help));
+    }
+
+    #[test]
+    fn region_must_be_named_or_a_readable_file_with_the_target_ring() {
+        assert!(resolve_region("ci2", Some("east")).is_ok());
+        assert!(matches!(
+            resolve_region("ci2", Some("nowhere")),
+            Err(UsageError::BadRegion(_))
+        ));
+        assert!(matches!(
+            resolve_region("/nonexistent/region.xml", None),
+            Err(UsageError::BadRegion(_))
+        ));
     }
 }

@@ -7,10 +7,9 @@
 //! rings on any number of worker threads with byte-identical artifacts.
 
 use toto::experiment::ExperimentOverrides;
-use toto_chaos::{ChaosPlan, FaultSpec};
+use toto_chaos::{ChaosPlan, ChaosReport, FaultSpec};
 use toto_fleet::{
-    FleetExecutor, FleetManifest, FleetObserver, FleetPlan, ManifestJob, NullObserver, RunRecord,
-    RunStore, RUN_SCHEMA_VERSION,
+    FleetExecutor, FleetManifest, FleetObserver, FleetPlan, NullObserver, RunRecord, RunStore,
 };
 
 use crate::plan::{build_region_plan, RegionPlan};
@@ -55,8 +54,8 @@ pub struct RingSidecars {
     pub label: String,
     /// Encoded trace stream, when tracing was on.
     pub trace: Option<Vec<u8>>,
-    /// Chaos report JSON, when the ring ran under a chaos plan.
-    pub chaos_json: Option<String>,
+    /// Chaos report, when the ring ran under a chaos plan.
+    pub chaos: Option<ChaosReport>,
 }
 
 /// Everything a region run produces.
@@ -174,7 +173,7 @@ impl RegionRunner {
             sidecars.push(RingSidecars {
                 label: job.label.clone(),
                 trace: out.trace.clone(),
-                chaos_json: out.result.chaos.as_ref().map(|c| c.to_json()),
+                chaos: out.result.chaos.clone(),
             });
             ring_records.push(record);
         }
@@ -191,23 +190,7 @@ impl RegionRunner {
             cross_ring_redirects: plan.redirects.len() as u64,
             out_of_region: plan.out_of_region,
         };
-        let manifest = FleetManifest {
-            schema_version: RUN_SCHEMA_VERSION,
-            fleet: fleet_name.to_string(),
-            root_seed: spec.seed,
-            threads: report.threads as u64,
-            wall_secs: report.wall_secs,
-            jobs: report
-                .jobs
-                .iter()
-                .map(|j| ManifestJob {
-                    label: j.label.clone(),
-                    seed: j.seed,
-                    status: j.outcome.status().to_string(),
-                    wall_secs: j.wall_secs,
-                })
-                .collect(),
-        };
+        let manifest = FleetManifest::from_report(fleet_name, spec.seed, &report);
         RegionRunOutput {
             plan,
             record,
@@ -233,7 +216,7 @@ pub fn save_region_run(
         if let Some(trace) = &sidecar.trace {
             store.save_trace(fleet, &sidecar.label, trace)?;
         }
-        if let Some(chaos) = &sidecar.chaos_json {
+        if let Some(chaos) = &sidecar.chaos {
             store.save_chaos(fleet, &sidecar.label, chaos)?;
         }
     }

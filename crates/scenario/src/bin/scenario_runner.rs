@@ -1,8 +1,9 @@
-//! `scenario_runner` — execute a data-driven scenario.
+//! `scenario_runner` — execute a data-driven scenario or an XML spec.
 //!
 //! ```text
 //! scenario_runner --scenario NAME|FILE [--seeds N] [--threads T]
 //!                 [--hours H] [--out DIR] [--trace]
+//! scenario_runner --emit [DENSITY]
 //! ```
 //!
 //! NAME is a built-in scenario (`density_sweep`, `chaos_storm`,
@@ -14,17 +15,37 @@
 //! scenario source, `oracle.json`, and `sweep.json` — single-sample
 //! verdict at `--seeds 1`, dispersion statistics for `N > 1`)
 //! land under `<out>/runs/<name>/`, byte-identical at any `--threads`.
+//!
+//! FILE may also be a `<Scenario>` XML spec (detected from its content):
+//! it runs as one pinned job, prints its KPI digest, and writes its run
+//! record and manifest under `<out>/runs/<spec name>/`. `--emit` prints
+//! the default gen5 spec at DENSITY % (default 100) as a template:
+//!
+//! ```text
+//! scenario_runner --emit 120 > my.xml
+//! scenario_runner --scenario my.xml
+//! ```
 
 use toto_scenario::cli::{run_cli, CliArgs};
 use toto_scenario::NAMED_SCENARIOS;
+use toto_spec::ScenarioSpec;
 
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     if argv.iter().any(|a| a == "--help" || a == "-h") {
         eprintln!(
             "usage: scenario_runner --scenario NAME|FILE [--seeds N] [--threads T] \
-             [--hours H] [--out DIR] [--trace]\nbuilt-in scenarios: {}",
+             [--hours H] [--out DIR] [--trace]\n       scenario_runner --emit [DENSITY]\n\
+             FILE is a scenario TOML file or a <Scenario> XML spec\nbuilt-in scenarios: {}",
             NAMED_SCENARIOS.join(", ")
+        );
+        return;
+    }
+    if argv.first().map(String::as_str) == Some("--emit") {
+        let density: u32 = argv.get(1).and_then(|d| d.parse().ok()).unwrap_or(100);
+        print!(
+            "{}",
+            ScenarioSpec::gen5_stage_cluster(density).to_xml_string()
         );
         return;
     }
@@ -44,6 +65,9 @@ fn main() {
     );
     match run_cli(&args, &toto_fleet::StderrProgress) {
         Ok(summary) => {
+            for line in &summary.report_lines {
+                println!("{line}");
+            }
             println!(
                 "scenario {}: {} completed, {} failed, {} oracle families fitted -> {}",
                 summary.fleet_name,

@@ -1,19 +1,20 @@
-//! The shared scenario-resolution and run path.
+//! The scenario command line: the one way a scenario name becomes a run.
 //!
-//! Both the `scenario_runner` bin here and the `run_scenario` bench bin
-//! go through this module, so there is exactly one way a scenario name
-//! becomes a run: built-in name → embedded text; anything else → file
-//! path. Legacy `<Scenario>` XML specs are folded into the same path by
-//! compiling them to a single pinned fleet job — ad-hoc per-bin parsing
-//! is gone.
+//! The `scenario_runner` bin is a thin shell over this module. A
+//! scenario argument is a built-in name (embedded text) or a file path.
+//! A file whose content is a `<Scenario>` XML spec — the paper's §1
+//! declarative benchmark submission, `--emit` writes a template — is
+//! detected from its content and compiled to a single pinned fleet job
+//! ([`xml_spec_plan`]); it then runs through the same executor and
+//! [`RunStore::save_report`] path as a scenario DSL fleet.
 
 use crate::builtin::{builtin, NAMED_SCENARIOS};
 use crate::doc::ScenarioDoc;
 use crate::error::ScenarioError;
-use crate::runner::{run, RunOptions, RunSummary};
-use toto::experiment::ExperimentOverrides;
-use toto_fleet::{FleetObserver, FleetPlan};
-use toto_spec::ScenarioSpec;
+use crate::runner::{io_err, run, RunOptions, RunSummary};
+use toto::experiment::{ExperimentOverrides, ExperimentResult};
+use toto_fleet::{FleetExecutor, FleetObserver, FleetPlan, RunStore};
+use toto_spec::{EditionKind, ScenarioSpec};
 
 /// A resolved scenario: its source text plus where it came from.
 #[derive(Clone, Debug)]
@@ -24,19 +25,25 @@ pub struct ResolvedScenario {
     pub doc: ScenarioDoc,
 }
 
-/// Resolve a scenario argument: a built-in name ([`NAMED_SCENARIOS`]) or
-/// a path to a `.toml` scenario file.
-pub fn resolve(name_or_path: &str) -> Result<ResolvedScenario, ScenarioError> {
-    let source = match builtin(name_or_path) {
-        Some(text) => text.to_string(),
+/// The text of a scenario argument: a built-in name
+/// ([`NAMED_SCENARIOS`]) or a path to a scenario file.
+fn read_source(name_or_path: &str) -> Result<String, ScenarioError> {
+    match builtin(name_or_path) {
+        Some(text) => Ok(text.to_string()),
         None => std::fs::read_to_string(name_or_path).map_err(|e| ScenarioError::Io {
             path: name_or_path.to_string(),
             message: format!(
                 "{e} (not a built-in scenario either; built-ins: {})",
                 NAMED_SCENARIOS.join(", ")
             ),
-        })?,
-    };
+        }),
+    }
+}
+
+/// Resolve a scenario argument: a built-in name ([`NAMED_SCENARIOS`]) or
+/// a path to a `.toml` scenario file.
+pub fn resolve(name_or_path: &str) -> Result<ResolvedScenario, ScenarioError> {
+    let source = read_source(name_or_path)?;
     let doc = ScenarioDoc::parse(&source)?;
     Ok(ResolvedScenario { source, doc })
 }
@@ -127,34 +134,112 @@ impl CliArgs {
     }
 }
 
-/// Resolve and run a scenario per the parsed arguments.
+/// Resolve and run a scenario per the parsed arguments. A source whose
+/// first non-blank character is `<` is a `<Scenario>` XML spec.
 pub fn run_cli(args: &CliArgs, observer: &dyn FleetObserver) -> Result<RunSummary, ScenarioError> {
-    let mut resolved = resolve(&args.scenario)?;
-    if let Some(hours) = args.hours {
-        if hours == 0 {
-            return Err(ScenarioError::invalid("--hours must be positive"));
-        }
-        resolved.doc.hours = Some(hours);
-    }
-    if args.trace {
-        resolved.doc.trace = true;
+    if args.hours == Some(0) {
+        return Err(ScenarioError::invalid("--hours must be positive"));
     }
     let options = RunOptions {
         threads: args.threads.max(1),
         seeds: args.seeds,
         out: args.out.clone(),
     };
-    run(&resolved.doc, &resolved.source, &options, observer)
+    let source = read_source(&args.scenario)?;
+    if source.trim_start().starts_with('<') {
+        return run_xml(&source, args, &options, observer);
+    }
+    let mut doc = ScenarioDoc::parse(&source)?;
+    if args.hours.is_some() {
+        doc.hours = args.hours;
+    }
+    if args.trace {
+        doc.trace = true;
+    }
+    run(&doc, &source, &options, observer)
 }
 
-/// Compile a legacy `<Scenario>` XML spec into a single pinned fleet
-/// job, so the old `run_scenario <file.xml>` path flows through the same
-/// executor-and-store pipeline as everything else. The spec's own
-/// component seeds are kept (that is what an XML spec *is*).
+/// Compile a `<Scenario>` XML spec into a single pinned fleet job, so an
+/// XML submission flows through the same executor-and-store pipeline as
+/// everything else. The spec's own component seeds are kept (that is
+/// what an XML spec *is*).
 pub fn xml_spec_plan(spec: ScenarioSpec, root_seed: u64) -> FleetPlan {
     let mut plan = FleetPlan::new(root_seed);
     plan.add_pinned(spec.name.clone(), spec, ExperimentOverrides::default());
     plan
+}
+
+/// Run a `<Scenario>` XML spec as one pinned job; its artifacts land
+/// under `<out>/runs/<spec name>/`.
+fn run_xml(
+    xml: &str,
+    args: &CliArgs,
+    options: &RunOptions,
+    observer: &dyn FleetObserver,
+) -> Result<RunSummary, ScenarioError> {
+    if args.seeds > 1 {
+        return Err(ScenarioError::invalid(
+            "--seeds sweeps apply to scenario DSL files, not XML specs",
+        ));
+    }
+    let mut spec = ScenarioSpec::from_xml_str(xml)
+        .map_err(|e| ScenarioError::invalid(format!("invalid scenario XML: {e}")))?;
+    if let Some(hours) = args.hours {
+        spec.duration_hours = hours;
+    }
+    let fleet_name = spec.name.clone();
+    let mut plan = xml_spec_plan(spec, 0);
+    if args.trace {
+        plan.trace_all();
+    }
+    let report = FleetExecutor::new(options.threads).run(plan.jobs(), observer);
+    let (dir, records) = RunStore::new(&options.out)
+        .save_report(&fleet_name, plan.root_seed(), &report)
+        .map_err(io_err(options.out.clone()))?;
+    Ok(RunSummary {
+        dir,
+        fleet_name,
+        completed: records.len(),
+        failed: report.failed_count(),
+        chaos_violations: 0,
+        oracle_families: 0,
+        report_lines: report
+            .completed()
+            .flat_map(|(_, out)| kpi_lines(&out.result))
+            .collect(),
+    })
+}
+
+/// The KPI digest an XML spec run prints.
+fn kpi_lines(r: &ExperimentResult) -> Vec<String> {
+    vec![
+        format!(
+            "bootstrap: {} databases, {:.0} free cores, {:.1}% disk",
+            r.bootstrap.services.len(),
+            r.bootstrap.free_cores,
+            r.bootstrap.disk_utilization * 100.0
+        ),
+        format!(
+            "final:     {:.0} reserved cores, {:.1} TB disk",
+            r.final_reserved_cores,
+            r.final_disk_gb / 1024.0
+        ),
+        format!(
+            "redirects: {} (first at hour {:?})",
+            r.redirect_count, r.first_redirect_hour
+        ),
+        format!(
+            "failovers: {} ({:.0} cores, {:.0} BC cores)",
+            r.telemetry.failover_count(None),
+            r.telemetry.failed_over_cores(None),
+            r.telemetry.failed_over_cores(Some(EditionKind::PremiumBc))
+        ),
+        format!(
+            "revenue:   ${:.0} adjusted (${:.2} penalty)",
+            r.revenue.adjusted(),
+            r.revenue.penalty
+        ),
+    ]
 }
 
 #[cfg(test)]
@@ -216,6 +301,50 @@ mod tests {
             }
             other => panic!("expected Io, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn xml_specs_are_detected_from_content_and_run_as_one_job() {
+        let dir = std::env::temp_dir().join(format!("toto-cli-xml-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let spec_path = dir.join("spec.txt");
+        let xml = ScenarioSpec::gen5_stage_cluster(120).to_xml_string();
+        std::fs::write(&spec_path, format!("\n  {xml}")).unwrap();
+        let out = dir.join("out").display().to_string();
+        let args = CliArgs {
+            scenario: spec_path.display().to_string(),
+            threads: 1,
+            hours: Some(1),
+            out: out.clone(),
+            ..CliArgs::default()
+        };
+        let summary = run_cli(&args, &toto_fleet::NullObserver).expect("XML spec runs");
+        assert_eq!(summary.fleet_name, "gen5-stage-density-120");
+        assert_eq!((summary.completed, summary.failed), (1, 0));
+        assert_eq!(summary.report_lines.len(), 5);
+        let store = RunStore::new(&out);
+        let record = store
+            .load_record("gen5-stage-density-120", "gen5-stage-density-120")
+            .expect("record written");
+        assert!(record.scenario_xml.contains("gen5-stage-density-120"));
+        assert_eq!(
+            store.load_manifest("gen5-stage-density-120").unwrap().jobs[0].status,
+            "completed"
+        );
+
+        let mut sweep = args.clone();
+        sweep.seeds = 2;
+        assert!(matches!(
+            run_cli(&sweep, &toto_fleet::NullObserver),
+            Err(ScenarioError::Invalid { .. })
+        ));
+        std::fs::write(&spec_path, "<Scenario").unwrap();
+        assert!(matches!(
+            run_cli(&args, &toto_fleet::NullObserver),
+            Err(ScenarioError::Invalid { .. })
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The typed scenario document.
 //!
-//! [`ScenarioDoc::parse`] turns the generic [`crate::toml::RawDoc`] into
+//! [`ScenarioDoc::parse`] turns the generic [`toto_fleet::toml::RawDoc`] into
 //! a validated scenario: every section and key is checked against the
 //! grammar (unknown names are hard errors, like the linter config), all
 //! value domains are enforced, and cross-section rules (a `fleet`
@@ -9,8 +9,8 @@
 //! the document.
 
 use crate::error::ScenarioError;
-use crate::toml::{Entry, RawDoc, Table, Value};
 use toto_chaos::ChaosPlan;
+use toto_fleet::toml::{Entry, RawDoc, Table, Value};
 use toto_region::RegionSpec;
 use toto_telemetry::{CohortProfile, EtlSeason, LaunchSpike, RegionProfile, ServerlessProfile};
 

@@ -7,6 +7,7 @@
 //! with evidence instead of simulating garbage.
 
 use std::fmt;
+use toto_fleet::toml::TomlError;
 
 /// One failed K-S validation verdict: the synthesized stream family that
 /// did not fit its trained hourly-normal model.
@@ -86,6 +87,15 @@ impl fmt::Display for ScenarioError {
 }
 
 impl std::error::Error for ScenarioError {}
+
+impl From<TomlError> for ScenarioError {
+    fn from(e: TomlError) -> Self {
+        ScenarioError::Parse {
+            line: e.line,
+            message: e.message,
+        }
+    }
+}
 
 impl ScenarioError {
     /// Shorthand for an [`ScenarioError::Invalid`] with a formatted

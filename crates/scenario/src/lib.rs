@@ -12,8 +12,9 @@
 //!
 //! The pipeline is strictly staged, every stage typed:
 //!
-//! 1. [`toml::RawDoc`] — generic well-formedness (syntax, duplicate
-//!    keys). Errors are [`ScenarioError::Parse`] with a line number.
+//! 1. [`toto_fleet::toml::RawDoc`] — generic well-formedness (syntax,
+//!    duplicate keys). Errors are [`ScenarioError::Parse`] with a line
+//!    number.
 //! 2. [`ScenarioDoc`] — the validated grammar: unknown sections/keys and
 //!    out-of-domain values are [`ScenarioError::Invalid`].
 //! 3. [`compile::compile`] — lowering onto `FleetPlan` / `RegionSpec` /
@@ -37,7 +38,6 @@ pub mod doc;
 pub mod error;
 pub mod oracle;
 pub mod runner;
-pub mod toml;
 pub mod workload;
 
 pub use builtin::{builtin, NAMED_SCENARIOS};

@@ -21,10 +21,7 @@ use toto::pools::{reservation_comparison, ElasticPool};
 use toto_fabric::cluster::{Cluster, ClusterConfig, ServiceSpec};
 use toto_fabric::metrics::{MetricDef, MetricRegistry};
 use toto_fabric::plb::{Plb, PlbConfig};
-use toto_fleet::{
-    kpis_to_json, FleetExecutor, FleetJob, FleetManifest, FleetObserver, Json, ManifestJob,
-    RunRecord, RunStore, RUN_SCHEMA_VERSION,
-};
+use toto_fleet::{kpis_to_json, FleetExecutor, FleetJob, FleetObserver, Json, RunRecord, RunStore};
 use toto_models::compiled::CompiledModelSet;
 use toto_region::{save_region_run, RegionRunner};
 use toto_simcore::rng::SeedTree;
@@ -71,9 +68,12 @@ pub struct RunSummary {
     /// Stream families the K-S oracle scored (all passed, or we would
     /// not be here).
     pub oracle_families: usize,
+    /// Human-readable KPI digest lines for the front-end to print (XML
+    /// spec runs; empty otherwise).
+    pub report_lines: Vec<String>,
 }
 
-fn io_err(path: impl Into<String>) -> impl FnOnce(std::io::Error) -> ScenarioError {
+pub(crate) fn io_err(path: impl Into<String>) -> impl FnOnce(std::io::Error) -> ScenarioError {
     let path = path.into();
     move |e| ScenarioError::Io {
         path,
@@ -266,43 +266,10 @@ fn run_fleet(
     let executor = FleetExecutor::new(options.threads);
     let report = executor.run(&jobs, observer);
 
-    let records: Vec<RunRecord> = report
-        .completed()
-        .map(|(job, out)| RunRecord::from_result(&job.label, job.seed, &out.result))
-        .collect();
-    let manifest = FleetManifest {
-        schema_version: RUN_SCHEMA_VERSION,
-        fleet: fleet.fleet_name.clone(),
-        root_seed: fleet.root_seed,
-        threads: report.threads as u64,
-        wall_secs: report.wall_secs,
-        jobs: report
-            .jobs
-            .iter()
-            .map(|j| ManifestJob {
-                label: j.label.clone(),
-                seed: j.seed,
-                status: j.outcome.status().to_string(),
-                wall_secs: j.wall_secs,
-            })
-            .collect(),
-    };
     let store = RunStore::new(&options.out);
-    let dir = store
-        .save_fleet(&manifest, &records)
+    let (dir, records) = store
+        .save_report(&fleet.fleet_name, fleet.root_seed, &report)
         .map_err(io_err(options.out.clone()))?;
-    for (job, out) in report.completed() {
-        if let Some(trace) = &out.trace {
-            store
-                .save_trace(&manifest.fleet, &job.label, trace)
-                .map_err(io_err(format!("{}.trace", job.label)))?;
-        }
-        if let Some(chaos) = &out.result.chaos {
-            store
-                .save_chaos(&manifest.fleet, &job.label, &chaos.to_json())
-                .map_err(io_err(format!("{}.chaos.json", job.label)))?;
-        }
-    }
     save_scenario_artifacts(&store, &fleet.fleet_name, source, &fleet.oracle.to_json())?;
     // Always written, even at --seeds 1: the single-sample verdict in the
     // stats says "spread unknown" explicitly instead of the file silently
@@ -320,7 +287,7 @@ fn run_fleet(
         .append_bench_record(&toto_fleet::BenchRecord::new(
             toto_fleet::current_commit(),
             vec![toto_fleet::BenchEntry {
-                name: format!("{}/jobs_per_sec", manifest.fleet),
+                name: format!("{}/jobs_per_sec", fleet.fleet_name),
                 unit: "jobs/s".to_string(),
                 value: report.jobs_per_sec(),
             }],
@@ -339,6 +306,7 @@ fn run_fleet(
         failed: report.failed_count(),
         chaos_violations,
         oracle_families: fleet.oracle.families().len(),
+        report_lines: Vec::new(),
     })
 }
 
@@ -371,6 +339,7 @@ fn run_region(
         failed: output.manifest.jobs.len() - completed,
         chaos_violations: output.oracle_violations,
         oracle_families: region.oracle.families().len(),
+        report_lines: Vec::new(),
     })
 }
 
@@ -493,6 +462,7 @@ fn run_pools(
         failed: 0,
         chaos_violations: 0,
         oracle_families: pools.oracle.families().len(),
+        report_lines: Vec::new(),
     })
 }
 
@@ -523,7 +493,7 @@ mod tests {
             ..Default::default()
         };
         RunRecord {
-            schema_version: RUN_SCHEMA_VERSION,
+            schema_version: toto_fleet::RUN_SCHEMA_VERSION,
             label: label.to_string(),
             seed,
             scenario_xml: String::new(),

@@ -12,7 +12,7 @@
 use std::fs;
 use std::path::PathBuf;
 use toto_fleet::{
-    density_fleet, FleetExecutor, FleetManifest, ManifestJob, NullObserver, RunRecord, RunStore,
+    density_fleet, FleetExecutor, FleetManifest, NullObserver, RunRecord, RunStore,
     RUN_SCHEMA_VERSION,
 };
 
@@ -36,30 +36,9 @@ fn run_and_store(dir: &PathBuf, threads: usize) -> RunStore {
     let report = FleetExecutor::new(threads).run(plan.jobs(), &NullObserver);
     assert!(report.all_completed(), "fleet jobs must all complete");
 
-    let records: Vec<RunRecord> = report
-        .completed()
-        .map(|(job, out)| RunRecord::from_result(&job.label, job.seed, &out.result))
-        .collect();
-    let manifest = FleetManifest {
-        schema_version: RUN_SCHEMA_VERSION,
-        fleet: "determinism".to_string(),
-        root_seed: ROOT_SEED,
-        threads: report.threads as u64,
-        wall_secs: report.wall_secs,
-        jobs: report
-            .jobs
-            .iter()
-            .map(|j| ManifestJob {
-                label: j.label.clone(),
-                seed: j.seed,
-                status: j.outcome.status().to_string(),
-                wall_secs: j.wall_secs,
-            })
-            .collect(),
-    };
     let store = RunStore::new(dir);
     store
-        .save_fleet(&manifest, &records)
+        .save_report("determinism", ROOT_SEED, &report)
         .expect("save fleet artifacts");
     store
 }

@@ -18,10 +18,7 @@
 
 use std::fs;
 use std::path::PathBuf;
-use toto_fleet::{
-    density_fleet, FleetExecutor, FleetManifest, ManifestJob, NullObserver, RunRecord, RunStore,
-    RUN_SCHEMA_VERSION,
-};
+use toto_fleet::{density_fleet, FleetExecutor, NullObserver, RunStore};
 use toto_scenario::{builtin, run, RunOptions, ScenarioDoc, ScenarioError};
 use toto_trace::codec::decode;
 use toto_trace::diff::{diff_traces, Divergence};
@@ -107,30 +104,9 @@ fn density_sweep_scenario_matches_the_hard_coded_fleet_byte_for_byte() {
     let plan = density_fleet(42, &[100, 110, 120, 140], HOURS);
     let report = FleetExecutor::new(2).run(plan.jobs(), &NullObserver);
     assert!(report.all_completed());
-    let records: Vec<RunRecord> = report
-        .completed()
-        .map(|(job, out)| RunRecord::from_result(&job.label, job.seed, &out.result))
-        .collect();
-    let manifest = FleetManifest {
-        schema_version: RUN_SCHEMA_VERSION,
-        fleet: "reference".to_string(),
-        root_seed: 42,
-        threads: report.threads as u64,
-        wall_secs: report.wall_secs,
-        jobs: report
-            .jobs
-            .iter()
-            .map(|j| ManifestJob {
-                label: j.label.clone(),
-                seed: j.seed,
-                status: j.outcome.status().to_string(),
-                wall_secs: j.wall_secs,
-            })
-            .collect(),
-    };
     let reference = RunStore::new(&reference_dir);
     reference
-        .save_fleet(&manifest, &records)
+        .save_report("reference", 42, &report)
         .expect("save reference fleet");
 
     // Run records carry no fleet name, so byte equality across the two
