@@ -39,8 +39,12 @@ use toto_spec::{EditionKind, ResourceKind, ScenarioSpec};
 use toto_telemetry::kpi::{FailoverRecord, NodeSnapshot, Telemetry};
 use toto_telemetry::revenue::{BillingRecord, RevenueBreakdown, RevenueParams};
 
+/// Interval between node-level snapshots (the paper's Figure 13 uses
+/// 10-minute node readings).
+const NODE_SNAPSHOT_PERIOD: SimDuration = SimDuration::from_secs(600);
+
 /// Optional deviations from the scenario defaults.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct ExperimentOverrides {
     /// Replace the default population model.
     pub population: Option<PopulationModelSpec>,
@@ -48,19 +52,6 @@ pub struct ExperimentOverrides {
     pub models: Option<ModelSetSpec>,
     /// Replace the default PLB configuration.
     pub plb: Option<PlbConfig>,
-    /// Run proactive balancing during the experiment (on by default —
-    /// SF's PLB balances continuously; balancing moves are not failovers).
-    pub balance_during_run: bool,
-    /// Interval between node-level snapshots, seconds (default 600 — the
-    /// paper's Figure 13 uses 10-minute node readings).
-    pub node_snapshot_secs: Option<u64>,
-    /// Replace the SLA/revenue parameters.
-    pub revenue: Option<RevenueParams>,
-    /// Optional rolling maintenance upgrade: nodes are drained one at a
-    /// time and brought back, as production clusters do mid-experiment
-    /// ("the outliers at each density level are when a cluster
-    /// maintenance upgrade was occurring", §5.3.2).
-    pub rolling_upgrade: Option<RollingUpgrade>,
     /// Deterministic fault-injection plan (empty by default). An empty
     /// plan is strictly inert: no chaos state is allocated, no RNG
     /// stream is drawn, and the run is byte-identical to one on a build
@@ -71,33 +62,6 @@ pub struct ExperimentOverrides {
     /// then never consulted — no population RNG is drawn during the run
     /// — but hourly KPI sampling continues unchanged.
     pub directed: Option<DirectedSchedule>,
-}
-
-/// A rolling cluster upgrade: starting at `start_hour`, each node in
-/// turn is drained, stays down for `downtime_hours`, and comes back
-/// before the next node begins.
-#[derive(Clone, Copy, Debug)]
-pub struct RollingUpgrade {
-    /// Hour (from experiment start) the upgrade begins.
-    pub start_hour: u64,
-    /// How long each node stays drained.
-    pub downtime_hours: u64,
-}
-
-impl Default for ExperimentOverrides {
-    fn default() -> Self {
-        ExperimentOverrides {
-            population: None,
-            models: None,
-            plb: None,
-            balance_during_run: true,
-            node_snapshot_secs: None,
-            revenue: None,
-            rolling_upgrade: None,
-            chaos: ChaosPlan::default(),
-            directed: None,
-        }
-    }
 }
 
 /// Billing bookkeeping per live database.
@@ -168,8 +132,6 @@ pub struct ExperimentState {
     start: SimTime,
     end: SimTime,
     report_period: SimDuration,
-    node_snapshot_period: SimDuration,
-    balance_during_run: bool,
     /// Fault-injection state; `None` whenever the chaos plan is empty.
     chaos: Option<ChaosRuntime>,
     /// Scratch for `report_metrics`' per-replica snapshot, reused every
@@ -370,10 +332,6 @@ impl DensityExperiment {
         };
         let state = ExperimentState {
             report_period: SimDuration::from_secs(scenario.report_period_secs),
-            node_snapshot_period: SimDuration::from_secs(
-                overrides.node_snapshot_secs.unwrap_or(600),
-            ),
-            balance_during_run: overrides.balance_during_run,
             // QoS downtime draws share the PLB seed lineage: they are part
             // of the run-to-run non-determinism the paper attributes to SF.
             qos_rng: DetRng::seed_from_u64(scenario.plb_seed ^ 0x00D0_3713),
@@ -404,14 +362,14 @@ impl DensityExperiment {
         let mut sim = Simulation::new(state);
         let refresh = SimDuration::from_secs(sim.state().scenario.model_refresh_secs);
         let report = sim.state().report_period;
-        let snapshot = sim.state().node_snapshot_period;
         sim.scheduler().schedule_at(start, population_tick);
         sim.scheduler().schedule_at(start + report, report_metrics);
         sim.scheduler().schedule_at(start + refresh, refresh_models);
         sim.scheduler()
             .schedule_at(start + SimDuration::from_secs(300), plb_tick);
         sim.scheduler().schedule_at(start + report, governance_tick);
-        sim.scheduler().schedule_at(start + snapshot, node_snapshot);
+        sim.scheduler()
+            .schedule_at(start + NODE_SNAPSHOT_PERIOD, node_snapshot);
         if let Some(directed) = &overrides.directed {
             // The schedule is fully known up front; one simulation event
             // per directive, in schedule order (FIFO on equal times).
@@ -425,36 +383,6 @@ impl DensityExperiment {
                     .schedule_at(at, move |s: &mut ExperimentState, sc| {
                         directed_action(s, &action, sc.now());
                     });
-            }
-        }
-        if let Some(upgrade) = overrides.rolling_upgrade {
-            let nodes = sim.state().cluster.node_count() as u64;
-            for i in 0..nodes {
-                let t_drain = start
-                    + SimDuration::from_hours(upgrade.start_hour + i * upgrade.downtime_hours);
-                if t_drain >= end {
-                    break;
-                }
-                let node = NodeId(i as u32);
-                sim.scheduler()
-                    .schedule_at(t_drain, move |s: &mut ExperimentState, sc| {
-                        // A drain blocked by a last-live-replica conflict
-                        // skips this node's upgrade slot (it stays up).
-                        let events = s
-                            .plb
-                            .drain_node(&mut s.cluster, node, sc.now())
-                            .unwrap_or_default();
-                        // Drain moves reset non-persisted state but are not
-                        // capacity-violation failovers.
-                        process_failovers(s, events);
-                    });
-                let t_up = t_drain + SimDuration::from_hours(upgrade.downtime_hours);
-                if t_up <= end {
-                    sim.scheduler()
-                        .schedule_at(t_up, move |s: &mut ExperimentState, _| {
-                            s.cluster.set_node_up(node, true);
-                        });
-                }
             }
         }
         if sim.state().chaos.is_some() {
@@ -503,13 +431,13 @@ impl DensityExperiment {
             report.oracle_violations = rt.oracle.violations;
             report
         });
-        let params = overrides.revenue.unwrap_or_else(|| RevenueParams {
+        let params = RevenueParams {
             // Credits are assessed against the experiment's billing window
             // (the paper subtracts "service credits based on the SLA" from
             // the revenue modeled over the run).
             credit_window_hours: state.scenario.duration_hours as f64,
             ..RevenueParams::default()
-        });
+        };
         let records: Vec<BillingRecord> = state
             .billing
             .iter()
@@ -723,14 +651,13 @@ fn process_failovers(state: &mut ExperimentState, events: Vec<FailoverEvent>) {
     }
 }
 
-/// PLB pass: fix capacity violations (and optionally balance).
+/// PLB pass: fix capacity violations, then balance (SF's PLB balances
+/// continuously; balancing moves are not failovers).
 fn plb_tick(state: &mut ExperimentState, sched: &mut Scheduler<ExperimentState>) {
     let now = sched.now();
     let tick = SimDuration::from_secs(300);
     let mut events = state.plb.fix_violations(&mut state.cluster, now);
-    if state.balance_during_run {
-        events.extend(state.plb.balance(&mut state.cluster, now));
-    }
+    events.extend(state.plb.balance(&mut state.cluster, now));
     process_failovers(state, events);
     // Unresolved *disk* violations are customer-visible: a database on a
     // node whose disk capacity is breached is "temporarily needing to
@@ -981,7 +908,7 @@ fn node_snapshot(state: &mut ExperimentState, sched: &mut Scheduler<ExperimentSt
             cores: node.load[state.cpu],
         });
     }
-    let next = now + state.node_snapshot_period;
+    let next = now + NODE_SNAPSHOT_PERIOD;
     if next <= state.end {
         sched.schedule_at(next, node_snapshot);
     }
@@ -1525,13 +1452,10 @@ mod tests {
 
     #[test]
     fn node_snapshots_cover_all_nodes() {
-        let overrides = ExperimentOverrides {
-            node_snapshot_secs: Some(1800),
-            ..Default::default()
-        };
-        let r = DensityExperiment::new(short_scenario(100, 2), overrides).run();
-        // Snapshots at 1800s, 3600s, 5400s, 7200s = 4 rounds x 14 nodes.
-        assert_eq!(r.telemetry.node_snapshots.len(), 4 * 14);
+        let r =
+            DensityExperiment::new(short_scenario(100, 2), ExperimentOverrides::default()).run();
+        // Snapshots every 600 s through 7200 s = 12 rounds x 14 nodes.
+        assert_eq!(r.telemetry.node_snapshots.len(), 12 * 14);
     }
 }
 
@@ -1654,10 +1578,7 @@ mod upgrade_tests {
         let mut scenario = ScenarioSpec::gen5_stage_cluster(110);
         scenario.duration_hours = 8;
         let overrides = ExperimentOverrides {
-            rolling_upgrade: Some(RollingUpgrade {
-                start_hour: 1,
-                downtime_hours: 1,
-            }),
+            chaos: ChaosPlan::named("rolling").expect("named plan"),
             ..ExperimentOverrides::default()
         };
         let with_upgrade = DensityExperiment::new(scenario.clone(), overrides).run();

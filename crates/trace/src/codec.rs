@@ -244,7 +244,7 @@ impl<'a> Reader<'a> {
 
     fn string(&mut self) -> Result<String, DecodeError> {
         let len = self.varint()? as usize;
-        if self.pos + len > self.buf.len() {
+        if len > self.buf.len() - self.pos {
             return Err(self.err("string runs past end of trace"));
         }
         let bytes = &self.buf[self.pos..self.pos + len];
@@ -356,163 +356,21 @@ pub fn writer_schema() -> Vec<KindSchema> {
 }
 
 /// Convenience: re-type a decoded event back into the writer's enum if the
-/// schema matches the current vocabulary. Used by tests.
+/// file's schema for its kind matches the current vocabulary.
 pub fn retype(file: &TraceFile, ev: &DecodedEvent) -> Option<EventBody> {
     let kind = EventKind::from_id(ev.kind)?;
     let schema = file.schema(ev.kind)?;
-    let expected: Vec<(String, FieldType)> = kind
-        .fields()
-        .iter()
-        .map(|f| (f.name.to_string(), f.ty))
-        .collect();
-    if schema.fields != expected {
+    let current = kind.fields();
+    let same = schema.fields.len() == current.len()
+        && schema
+            .fields
+            .iter()
+            .zip(current)
+            .all(|((name, ty), def)| name == def.name && *ty == def.ty);
+    if !same {
         return None;
     }
-    let vals = &ev.values;
-    let u = |i: usize| -> Option<u64> {
-        match vals.get(i)? {
-            Value::U64(v) => Some(*v),
-            _ => None,
-        }
-    };
-    let f = |i: usize| -> Option<f64> {
-        match vals.get(i)? {
-            Value::F64(v) => Some(*v),
-            _ => None,
-        }
-    };
-    let s = |i: usize| -> Option<String> {
-        match vals.get(i)? {
-            Value::Str(v) => Some(v.clone()),
-            _ => None,
-        }
-    };
-    Some(match kind {
-        EventKind::Phase => EventBody::Phase { label: s(0)? },
-        EventKind::Dispatch => EventBody::Dispatch { queue_seq: u(0)? },
-        EventKind::Placement => EventBody::Placement {
-            service: u(0)?,
-            replicas: u(1)?,
-            primary_node: u(2)?,
-        },
-        EventKind::PlacementRejected => EventBody::PlacementRejected {
-            needed: u(0)?,
-            feasible: u(1)?,
-        },
-        EventKind::AnnealSummary => EventBody::AnnealSummary {
-            service: u(0)?,
-            iterations: u(1)?,
-            accepted: u(2)?,
-        },
-        EventKind::ViolationUnresolved => EventBody::ViolationUnresolved {
-            node: u(0)?,
-            resource: u(1)?,
-        },
-        EventKind::Failover => EventBody::Failover {
-            service: u(0)?,
-            replica: u(1)?,
-            from: u(2)?,
-            to: u(3)?,
-            primary: u(4)? != 0,
-            reason: s(5)?,
-            promoted: u(6)?,
-        },
-        EventKind::NamingWrite => EventBody::NamingWrite {
-            key: s(0)?,
-            version: u(1)?,
-        },
-        EventKind::MetricReport => EventBody::MetricReport {
-            service: u(0)?,
-            replica: u(1)?,
-            node: u(2)?,
-            resource: s(3)?,
-            value: f(4)?,
-        },
-        EventKind::ModelRefresh => EventBody::ModelRefresh {
-            node: u(0)?,
-            version: u(1)?,
-        },
-        EventKind::AdmissionAdmitted => EventBody::AdmissionAdmitted {
-            service: u(0)?,
-            cores: f(1)?,
-        },
-        EventKind::AdmissionRedirected => EventBody::AdmissionRedirected {
-            cores: f(0)?,
-            available: f(1)?,
-        },
-        EventKind::DbCreate => EventBody::DbCreate {
-            service: u(0)?,
-            edition: u(1)?,
-            slo: u(2)?,
-        },
-        EventKind::DbDrop => EventBody::DbDrop {
-            service: u(0)?,
-            edition: u(1)?,
-        },
-        EventKind::BootstrapPlacementFailed => EventBody::BootstrapPlacementFailed {
-            draft: u(0)?,
-            vcores: u(1)?,
-            disk_gb: f(2)?,
-        },
-        EventKind::ChaosNodeCrash => EventBody::ChaosNodeCrash {
-            node: u(0)?,
-            downtime_secs: u(1)?,
-        },
-        EventKind::ChaosNodeRestart => EventBody::ChaosNodeRestart { node: u(0)? },
-        EventKind::ChaosNodeDecommission => EventBody::ChaosNodeDecommission { node: u(0)? },
-        EventKind::ChaosCapacityDegrade => EventBody::ChaosCapacityDegrade {
-            resource: s(0)?,
-            node_capacity: f(1)?,
-        },
-        EventKind::ChaosReportDropped => EventBody::ChaosReportDropped {
-            service: u(0)?,
-            replica: u(1)?,
-            node: u(2)?,
-            resource: s(3)?,
-        },
-        EventKind::ChaosStorm => EventBody::ChaosStorm {
-            nodes: u(0)?,
-            downtime_secs: u(1)?,
-        },
-        EventKind::OracleViolation => EventBody::OracleViolation {
-            oracle: s(0)?,
-            detail: s(1)?,
-        },
-        EventKind::ChaosNodeDrain => EventBody::ChaosNodeDrain {
-            node: u(0)?,
-            downtime_secs: u(1)?,
-        },
-        EventKind::RegionRingAdmit => EventBody::RegionRingAdmit {
-            ring: s(0)?,
-            db: s(1)?,
-            cores: f(2)?,
-        },
-        EventKind::RegionRingRedirect => EventBody::RegionRingRedirect {
-            from: s(0)?,
-            to: s(1)?,
-            cores: f(2)?,
-        },
-        EventKind::RegionRingUp => EventBody::RegionRingUp {
-            ring: s(0)?,
-            nodes: u(1)?,
-            logical_cores: f(2)?,
-        },
-        EventKind::RegionRingDrain => EventBody::RegionRingDrain {
-            ring: s(0)?,
-            tenants: u(1)?,
-            cores: f(2)?,
-        },
-        EventKind::NamingDelete => EventBody::NamingDelete {
-            key: s(0)?,
-            existed: u(1)?,
-        },
-        EventKind::ScenarioFit => EventBody::ScenarioFit {
-            family: s(0)?,
-            tested: u(1)?,
-            accepted: u(2)?,
-            min_p: f(3)?,
-        },
-    })
+    EventBody::from_values(kind, &ev.values)
 }
 
 #[cfg(test)]
@@ -595,6 +453,18 @@ mod tests {
         let mut bytes = encode_all(&sample_events());
         bytes.truncate(bytes.len() - 1);
         assert!(decode(&bytes).is_err());
+    }
+
+    #[test]
+    fn oversized_string_length_is_a_typed_error() {
+        // A length varint near u64::MAX must not overflow the bounds check.
+        let mut bytes = encode_all(&[]);
+        bytes.push(EventKind::Phase.id());
+        write_varint(&mut bytes, 0);
+        write_varint(&mut bytes, 0);
+        write_varint(&mut bytes, u64::MAX);
+        let err = decode(&bytes).expect_err("oversized string rejected");
+        assert!(err.message.contains("past end"), "got: {err}");
     }
 
     #[test]

@@ -103,22 +103,13 @@ impl TraceSink for RingSink {
 #[derive(Debug)]
 pub struct BufferSink {
     out: Vec<u8>,
-    mask: u64,
 }
 
 impl BufferSink {
     pub fn new() -> BufferSink {
         let mut out = Vec::with_capacity(4096);
         crate::codec::encode_header(&mut out);
-        BufferSink {
-            out,
-            mask: mask::ALL,
-        }
-    }
-
-    pub fn with_mask(mut self, mask: u64) -> BufferSink {
-        self.mask = mask;
-        self
+        BufferSink { out }
     }
 
     /// The encoded trace so far (header + events).
@@ -141,10 +132,6 @@ impl TraceSink for BufferSink {
     fn record(&mut self, ev: &TraceEvent) {
         crate::codec::encode_event(&mut self.out, ev);
     }
-
-    fn kind_mask(&self) -> u64 {
-        self.mask
-    }
 }
 
 /// Streams the encoded trace to a file. Write errors are latched and
@@ -153,7 +140,6 @@ impl TraceSink for BufferSink {
 pub struct FileSink {
     enc: Option<StreamEncoder<BufWriter<File>>>,
     error: Option<io::Error>,
-    mask: u64,
 }
 
 impl FileSink {
@@ -163,13 +149,7 @@ impl FileSink {
         Ok(FileSink {
             enc: Some(enc),
             error: None,
-            mask: mask::ALL,
         })
-    }
-
-    pub fn with_mask(mut self, mask: u64) -> FileSink {
-        self.mask = mask;
-        self
     }
 
     /// Flush buffered bytes and surface any latched write error.
@@ -194,10 +174,6 @@ impl TraceSink for FileSink {
                 self.error = Some(e);
             }
         }
-    }
-
-    fn kind_mask(&self) -> u64 {
-        self.mask
     }
 }
 

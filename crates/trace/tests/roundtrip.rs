@@ -3,8 +3,12 @@
 //! through both the in-memory and the file sink, and malformed inputs
 //! must produce a typed [`DecodeError`], never a panic.
 
+use proptest::prelude::*;
 use toto_trace::codec::{decode, encode_all, retype, DecodeError, FORMAT_VERSION, MAGIC};
-use toto_trace::{BufferSink, EventBody, FileSink, TraceEvent, TraceSink, ALL_KINDS, KIND_COUNT};
+use toto_trace::event::FieldType;
+use toto_trace::{
+    BufferSink, EventBody, FileSink, TraceEvent, TraceSink, Value, ALL_KINDS, KIND_COUNT,
+};
 
 /// One representative event per kind, in kind-id order.
 fn one_event_per_kind() -> Vec<TraceEvent> {
@@ -152,6 +156,26 @@ fn one_event_per_kind() -> Vec<TraceEvent> {
 }
 
 #[test]
+fn body_values_match_schema() {
+    let events = one_event_per_kind();
+    assert_eq!(events.len(), KIND_COUNT);
+    for (ev, kind) in events.iter().zip(ALL_KINDS) {
+        assert_eq!(ev.body.kind(), kind);
+        let values = ev.body.values();
+        assert_eq!(values.len(), kind.fields().len(), "kind {}", kind.name());
+        for (def, val) in kind.fields().iter().zip(&values) {
+            let ok = matches!(
+                (def.ty, val),
+                (FieldType::U64, Value::U64(_))
+                    | (FieldType::F64, Value::F64(_))
+                    | (FieldType::Str, Value::Str(_))
+            );
+            assert!(ok, "field {} of {} has wrong type", def.name, kind.name());
+        }
+    }
+}
+
+#[test]
 fn every_kind_round_trips_through_buffer_sink() {
     let events = one_event_per_kind();
     let mut sink = BufferSink::new();
@@ -229,4 +253,74 @@ fn corrupt_header_yields_typed_error() {
     bytes.push(0xFE);
     let err = decode(&bytes).expect_err("undeclared kind rejected");
     assert!(err.message.contains("kind"), "got: {err}");
+}
+
+/// 64-bit FNV-1a, to pin trace bytes in a test without committing them.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+#[test]
+fn wire_bytes_are_pinned() {
+    // The header (schema table) alone, and a whole trace (that header
+    // followed by one record per kind), pinned by length and digest: any
+    // change to a kind's id, name, field order or field type changes both,
+    // a change to the record layout only the second. Kinds are
+    // append-only, so only adding a kind may update them.
+    let mut header = Vec::new();
+    toto_trace::codec::encode_header(&mut header);
+    let records = encode_all(&one_event_per_kind());
+    assert_eq!(
+        (header.len(), fnv1a(&header)),
+        (1154, 0x0b9d_852d_81ff_3f45),
+        "header bytes changed"
+    );
+    assert_eq!(
+        (records.len(), fnv1a(&records)),
+        (1567, 0x1f9a_e060_3070_4ffb),
+        "one-event-per-kind trace bytes (header and records) changed"
+    );
+}
+
+/// Flip bits of one byte per `(position, mask)` edit (a zero mask flips
+/// the low bit), then keep at most `keep` bytes.
+fn mutate(bytes: &[u8], edits: &[(usize, u8)], keep: usize) -> Vec<u8> {
+    let mut bytes = bytes.to_vec();
+    for &(pos, mask) in edits {
+        let len = bytes.len();
+        bytes[pos % len] ^= mask.max(1);
+    }
+    bytes.truncate(keep);
+    bytes
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn mutated_traces_decode_or_fail_typed(
+        edits in prop::collection::vec((any::<usize>(), any::<u8>()), 0..8),
+        keep in 0usize..4096,
+    ) {
+        let events = one_event_per_kind();
+        let pristine = encode_all(&events);
+        let bytes = mutate(&pristine, &edits, keep);
+        match decode(&bytes) {
+            Ok(file) => {
+                let retyped: Vec<Option<EventBody>> =
+                    file.events.iter().map(|ev| retype(&file, ev)).collect();
+                if bytes == pristine {
+                    let originals: Vec<Option<EventBody>> =
+                        events.into_iter().map(|ev| Some(ev.body)).collect();
+                    prop_assert_eq!(retyped, originals);
+                }
+            }
+            Err(DecodeError { offset, message }) => {
+                prop_assert!(offset <= bytes.len(), "offset {offset} past end");
+                prop_assert!(!message.is_empty());
+            }
+        }
+    }
 }
