@@ -55,7 +55,7 @@ pub struct SuiteMetric {
 
 /// The pinned suite, in measurement order. The gate checks exactly
 /// these metrics — other series in `benchdata.json` (for example
-/// `fleet_runner/jobs_per_sec`) are informational and never gated.
+/// `density-sweep/jobs_per_sec`) are informational and never gated.
 pub const SUITE: &[SuiteMetric] = &[
     SuiteMetric {
         name: "plb_place_bc_x4_ring_100",
@@ -160,7 +160,7 @@ pub struct MetricVerdict {
 /// Gate `current` against the recorded history: every pinned suite
 /// metric is compared to the trailing median of its last
 /// [`DEFAULT_WINDOW`] samples in `prior` (records lacking a metric —
-/// e.g. `fleet_runner` throughput stamps — simply don't contribute to
+/// e.g. scenario-run throughput stamps — simply don't contribute to
 /// that metric's history). Returns one typed verdict per suite metric,
 /// in suite order, or the first typed error for malformed input.
 pub fn gate_record(
@@ -440,12 +440,12 @@ mod tests {
 
     #[test]
     fn gate_skips_records_without_a_metric() {
-        // A fleet_runner throughput stamp in the history must not count
+        // A scenario-run throughput stamp in the history must not count
         // as history for suite metrics.
         let stamp = BenchRecord::new(
             "other",
             vec![BenchEntry {
-                name: "fleet_runner/jobs_per_sec".to_string(),
+                name: "density-sweep/jobs_per_sec".to_string(),
                 unit: "jobs/s".to_string(),
                 value: 0.5,
             }],

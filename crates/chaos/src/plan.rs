@@ -158,7 +158,8 @@ impl ChaosPlan {
         self.faults.is_empty()
     }
 
-    /// Built-in named plans (`fleet_runner --chaos <name>`).
+    /// Built-in named plans (`plan = "<name>"` in a scenario's `[chaos]`
+    /// table).
     ///
     /// Returns `None` for unknown names; [`ChaosPlan::NAMED`] lists the
     /// valid ones.

@@ -25,6 +25,28 @@ pub struct ChaosFaultRecord {
     pub recovery_secs: Option<u64>,
 }
 
+impl ChaosFaultRecord {
+    /// A record opened when a fault fires: what it moved at once, no
+    /// redirects counted yet, and not recovered (yet, or ever).
+    pub fn new(
+        at_secs: u64,
+        kind: impl Into<String>,
+        node: Option<u32>,
+        failovers: u64,
+        failed_over_cores: f64,
+    ) -> Self {
+        ChaosFaultRecord {
+            at_secs,
+            kind: kind.into(),
+            node,
+            failovers,
+            failed_over_cores,
+            redirects_delta: 0,
+            recovery_secs: None,
+        }
+    }
+}
+
 /// Everything one chaos-enabled run reports beyond its normal KPIs.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct ChaosReport {

@@ -966,8 +966,8 @@ fn apply_fault(
         ChaosAction::Drain {
             node,
             downtime_secs,
-        } => chaos_drain(state, sched, node, downtime_secs),
-        ChaosAction::Decommission { node } => chaos_decommission(state, sched, node),
+        } => chaos_drain(state, sched, Some(node), Some(downtime_secs)),
+        ChaosAction::Decommission { node } => chaos_drain(state, sched, node, None),
         ChaosAction::Degrade { resource, factor } => chaos_degrade(state, sched, resource, factor),
         ChaosAction::RestoreCapacity { resource } => chaos_restore_capacity(state, sched, resource),
         ChaosAction::ReportLossStart { drop_probability } => {
@@ -978,6 +978,69 @@ fn apply_fault(
             node_count,
             downtime_secs,
         } => chaos_storm(state, sched, node_count, downtime_secs),
+    }
+}
+
+/// Append `record` to the run's chaos report. An `outage` names the
+/// nodes the fault took down and their downtime: they come back after it
+/// (if the run lasts that long), and the restart closes the record with
+/// its recovery time and the creation redirects that piled up meanwhile.
+fn chaos_record(
+    state: &mut ExperimentState,
+    sched: &mut Scheduler<ExperimentState>,
+    record: ChaosFaultRecord,
+    outage: Option<(Vec<NodeId>, u64)>,
+) {
+    let redirects_at_fault = state.admission.redirects().len() as u64;
+    let faults = &mut state
+        .chaos
+        .as_mut()
+        .expect("chaos handler without runtime")
+        .report
+        .faults;
+    faults.push(record);
+    let idx = faults.len() - 1;
+    let Some((nodes, downtime_secs)) = outage else {
+        return;
+    };
+    let fault_time = sched.now();
+    let t_up = fault_time + SimDuration::from_secs(downtime_secs);
+    if t_up > state.end {
+        return;
+    }
+    sched.schedule_at(t_up, move |s: &mut ExperimentState, sc| {
+        for &node in &nodes {
+            s.cluster.set_node_up(node, true);
+            toto_trace::emit(toto_trace::EventKind::ChaosNodeRestart, || {
+                toto_trace::EventBody::ChaosNodeRestart {
+                    node: u64::from(node.raw()),
+                }
+            });
+        }
+        let redirects_now = s.admission.redirects().len() as u64;
+        let recovery = sc.now().saturating_since(fault_time).as_secs();
+        if let Some(rec) = s
+            .chaos
+            .as_mut()
+            .and_then(|rt| rt.report.faults.get_mut(idx))
+        {
+            rec.redirects_delta = redirects_now.saturating_sub(redirects_at_fault);
+            rec.recovery_secs = Some(recovery);
+        }
+    });
+}
+
+/// Close the latest still-open record of `kind`: its effect ends `now`.
+fn chaos_close(state: &mut ExperimentState, kind: &str, now: SimTime) {
+    let now_secs = chaos_at_secs(state, now);
+    if let Some(rec) = state.chaos.as_mut().and_then(|rt| {
+        rt.report
+            .faults
+            .iter_mut()
+            .rev()
+            .find(|f| f.kind == kind && f.recovery_secs.is_none())
+    }) {
+        rec.recovery_secs = Some(now_secs.saturating_sub(rec.at_secs));
     }
 }
 
@@ -1031,165 +1094,70 @@ fn chaos_crash(
         }
     });
     let (failovers, failed_over_cores) = chaos_crash_one(state, node, now);
-    let redirects_at_fault = state.admission.redirects().len() as u64;
-    let at_secs = chaos_at_secs(state, now);
-    let rt = state.chaos.as_mut().expect("chaos handler without runtime");
-    rt.report.faults.push(ChaosFaultRecord {
-        at_secs,
-        kind: "node_crash".into(),
-        node: Some(node.raw()),
+    let record = ChaosFaultRecord::new(
+        chaos_at_secs(state, now),
+        "node_crash",
+        Some(node.raw()),
         failovers,
         failed_over_cores,
-        redirects_delta: 0,
-        recovery_secs: None,
-    });
-    let idx = rt.report.faults.len() - 1;
-    let t_up = now + SimDuration::from_secs(downtime_secs);
-    if t_up <= state.end {
-        sched.schedule_at(t_up, move |s: &mut ExperimentState, sc| {
-            chaos_restart_node(s, sc, node, idx, redirects_at_fault, now);
-        });
-    }
+    );
+    chaos_record(state, sched, record, Some((vec![node], downtime_secs)));
 }
 
-/// Bring a crashed/drained node back and close its fault record.
-fn chaos_restart_node(
-    state: &mut ExperimentState,
-    sched: &mut Scheduler<ExperimentState>,
-    node: NodeId,
-    record_idx: usize,
-    redirects_at_fault: u64,
-    fault_time: SimTime,
-) {
-    state.cluster.set_node_up(node, true);
-    toto_trace::emit(toto_trace::EventKind::ChaosNodeRestart, || {
-        toto_trace::EventBody::ChaosNodeRestart {
-            node: u64::from(node.raw()),
-        }
-    });
-    let redirects_now = state.admission.redirects().len() as u64;
-    let recovery = sched.now().saturating_since(fault_time).as_secs();
-    if let Some(rec) = state
-        .chaos
-        .as_mut()
-        .and_then(|rt| rt.report.faults.get_mut(record_idx))
-    {
-        rec.redirects_delta = redirects_now.saturating_sub(redirects_at_fault);
-        rec.recovery_secs = Some(recovery);
-    }
-}
-
-/// `rollingRestart` slot: gracefully drain one node (all replicas moved
-/// before it goes down) and restart it after `downtime_secs`. A drain the
-/// PLB refuses — moving out would kill a service's last live replica —
-/// records `drain_blocked` and leaves the node up.
+/// Gracefully drain one node: all replicas move before it goes down. A
+/// `rollingRestart` slot restarts it after `downtime_secs`; a
+/// `decommission` (`None`) never does, like an operator pulling hardware.
+/// A drain the PLB refuses — moving out would kill a service's last live
+/// replica — records `drain_blocked` / `decommission_blocked` and leaves
+/// the node up.
 fn chaos_drain(
     state: &mut ExperimentState,
     sched: &mut Scheduler<ExperimentState>,
-    node_raw: u32,
-    downtime_secs: u64,
-) {
-    let now = sched.now();
-    if (node_raw as usize) >= state.cluster.node_count() || !state.cluster.node(NodeId(node_raw)).up
-    {
-        return;
-    }
-    let node = NodeId(node_raw);
-    let result = state.plb.drain_node(&mut state.cluster, node, now);
-    let at_secs = chaos_at_secs(state, now);
-    match result {
-        Ok(events) => {
-            toto_trace::emit(toto_trace::EventKind::ChaosNodeDrain, || {
-                toto_trace::EventBody::ChaosNodeDrain {
-                    node: u64::from(node.raw()),
-                    downtime_secs,
-                }
-            });
-            let failovers = events.len() as u64;
-            let failed_over_cores = drained_cores(state, &events);
-            process_failovers(state, events);
-            let redirects_at_fault = state.admission.redirects().len() as u64;
-            let rt = state.chaos.as_mut().expect("chaos handler without runtime");
-            rt.report.faults.push(ChaosFaultRecord {
-                at_secs,
-                kind: "drain".into(),
-                node: Some(node.raw()),
-                failovers,
-                failed_over_cores,
-                redirects_delta: 0,
-                recovery_secs: None,
-            });
-            let idx = rt.report.faults.len() - 1;
-            let t_up = now + SimDuration::from_secs(downtime_secs);
-            if t_up <= state.end {
-                sched.schedule_at(t_up, move |s: &mut ExperimentState, sc| {
-                    chaos_restart_node(s, sc, node, idx, redirects_at_fault, now);
-                });
-            }
-        }
-        Err(_) => {
-            let rt = state.chaos.as_mut().expect("chaos handler without runtime");
-            rt.report.faults.push(ChaosFaultRecord {
-                at_secs,
-                kind: "drain_blocked".into(),
-                node: Some(node.raw()),
-                failovers: 0,
-                failed_over_cores: 0.0,
-                redirects_delta: 0,
-                recovery_secs: Some(0),
-            });
-        }
-    }
-}
-
-/// `decommission`: drain a node and never bring it back. Like an
-/// operator pulling hardware, it refuses (records `decommission_blocked`)
-/// rather than killing a service's last live replica.
-fn chaos_decommission(
-    state: &mut ExperimentState,
-    sched: &mut Scheduler<ExperimentState>,
     requested: Option<u32>,
+    downtime_secs: Option<u64>,
 ) {
     let now = sched.now();
     let Some(node) = chaos_pick_victim(state, requested) else {
         return;
     };
-    let result = state.plb.drain_node(&mut state.cluster, node, now);
+    let kind = if downtime_secs.is_some() {
+        "drain"
+    } else {
+        "decommission"
+    };
     let at_secs = chaos_at_secs(state, now);
-    match result {
-        Ok(events) => {
-            toto_trace::emit(toto_trace::EventKind::ChaosNodeDecommission, || {
-                toto_trace::EventBody::ChaosNodeDecommission {
-                    node: u64::from(node.raw()),
-                }
-            });
-            let failovers = events.len() as u64;
-            let failed_over_cores = drained_cores(state, &events);
-            process_failovers(state, events);
-            let rt = state.chaos.as_mut().expect("chaos handler without runtime");
-            rt.report.faults.push(ChaosFaultRecord {
-                at_secs,
-                kind: "decommission".into(),
-                node: Some(node.raw()),
-                failovers,
-                failed_over_cores,
-                redirects_delta: 0,
-                recovery_secs: None, // permanent
-            });
-        }
-        Err(_) => {
-            let rt = state.chaos.as_mut().expect("chaos handler without runtime");
-            rt.report.faults.push(ChaosFaultRecord {
-                at_secs,
-                kind: "decommission_blocked".into(),
-                node: Some(node.raw()),
-                failovers: 0,
-                failed_over_cores: 0.0,
-                redirects_delta: 0,
-                recovery_secs: Some(0),
-            });
-        }
+    let Ok(events) = state.plb.drain_node(&mut state.cluster, node, now) else {
+        let blocked = ChaosFaultRecord {
+            recovery_secs: Some(0),
+            ..ChaosFaultRecord::new(at_secs, format!("{kind}_blocked"), Some(node.raw()), 0, 0.0)
+        };
+        chaos_record(state, sched, blocked, None);
+        return;
+    };
+    match downtime_secs {
+        Some(downtime_secs) => toto_trace::emit(toto_trace::EventKind::ChaosNodeDrain, || {
+            toto_trace::EventBody::ChaosNodeDrain {
+                node: u64::from(node.raw()),
+                downtime_secs,
+            }
+        }),
+        None => toto_trace::emit(toto_trace::EventKind::ChaosNodeDecommission, || {
+            toto_trace::EventBody::ChaosNodeDecommission {
+                node: u64::from(node.raw()),
+            }
+        }),
     }
+    let failovers = events.len() as u64;
+    let failed_over_cores = drained_cores(state, &events);
+    process_failovers(state, events);
+    let record = ChaosFaultRecord::new(
+        at_secs,
+        kind,
+        Some(node.raw()),
+        failovers,
+        failed_over_cores,
+    );
+    chaos_record(state, sched, record, downtime_secs.map(|d| (vec![node], d)));
 }
 
 /// `capacityDegrade`: shrink one resource's logical per-node capacity to
@@ -1213,21 +1181,14 @@ fn chaos_degrade(
             node_capacity: new_cap,
         }
     });
-    let at_secs = chaos_at_secs(state, now);
     let rt = state.chaos.as_mut().expect("chaos handler without runtime");
     let saved = &mut rt.saved_capacity[resource.index()];
     if saved.is_none() {
         *saved = Some(prev);
     }
-    rt.report.faults.push(ChaosFaultRecord {
-        at_secs,
-        kind: format!("capacity_degrade:{resource}"),
-        node: None,
-        failovers: 0,
-        failed_over_cores: 0.0,
-        redirects_delta: 0,
-        recovery_secs: None,
-    });
+    let kind = format!("capacity_degrade:{resource}");
+    let record = ChaosFaultRecord::new(chaos_at_secs(state, now), kind, None, 0, 0.0);
+    chaos_record(state, sched, record, None);
 }
 
 /// Undo a `capacityDegrade` at its `restoreHour`.
@@ -1243,7 +1204,6 @@ fn chaos_restore_capacity(
     else {
         return;
     };
-    let now = sched.now();
     let metric = metric_for(state, resource);
     state.cluster.set_metric_capacity(metric, original);
     toto_trace::emit(toto_trace::EventKind::ChaosCapacityDegrade, || {
@@ -1252,17 +1212,7 @@ fn chaos_restore_capacity(
             node_capacity: original,
         }
     });
-    let now_secs = chaos_at_secs(state, now);
-    let kind = format!("capacity_degrade:{resource}");
-    if let Some(rec) = state.chaos.as_mut().and_then(|rt| {
-        rt.report
-            .faults
-            .iter_mut()
-            .rev()
-            .find(|f| f.kind == kind && f.recovery_secs.is_none())
-    }) {
-        rec.recovery_secs = Some(now_secs.saturating_sub(rec.at_secs));
-    }
+    chaos_close(state, &format!("capacity_degrade:{resource}"), sched.now());
 }
 
 /// `reportLoss` window opens: every metric report is independently
@@ -1272,34 +1222,23 @@ fn chaos_report_loss_start(
     sched: &mut Scheduler<ExperimentState>,
     drop_probability: f64,
 ) {
-    let at_secs = chaos_at_secs(state, sched.now());
     let rt = state.chaos.as_mut().expect("chaos handler without runtime");
     rt.drop_probability = Some(drop_probability);
-    rt.report.faults.push(ChaosFaultRecord {
-        at_secs,
-        kind: "report_loss".into(),
-        node: None,
-        failovers: 0,
-        failed_over_cores: 0.0,
-        redirects_delta: 0,
-        recovery_secs: None,
-    });
+    let record = ChaosFaultRecord::new(
+        chaos_at_secs(state, sched.now()),
+        "report_loss",
+        None,
+        0,
+        0.0,
+    );
+    chaos_record(state, sched, record, None);
 }
 
 /// `reportLoss` window closes.
 fn chaos_report_loss_end(state: &mut ExperimentState, sched: &mut Scheduler<ExperimentState>) {
-    let now_secs = chaos_at_secs(state, sched.now());
     let rt = state.chaos.as_mut().expect("chaos handler without runtime");
     rt.drop_probability = None;
-    if let Some(rec) = rt
-        .report
-        .faults
-        .iter_mut()
-        .rev()
-        .find(|f| f.kind == "report_loss" && f.recovery_secs.is_none())
-    {
-        rec.recovery_secs = Some(now_secs.saturating_sub(rec.at_secs));
-    }
+    chaos_close(state, "report_loss", sched.now());
 }
 
 /// `failoverStorm`: crash several nodes at once (a rack power event).
@@ -1343,45 +1282,9 @@ fn chaos_storm(
         failovers += f;
         failed_over_cores += c;
     }
-    let redirects_at_fault = state.admission.redirects().len() as u64;
     let at_secs = chaos_at_secs(state, now);
-    let rt = state.chaos.as_mut().expect("chaos handler without runtime");
-    rt.report.faults.push(ChaosFaultRecord {
-        at_secs,
-        kind: "storm".into(),
-        node: None,
-        failovers,
-        failed_over_cores,
-        redirects_delta: 0,
-        recovery_secs: None,
-    });
-    let idx = rt.report.faults.len() - 1;
-    let t_up = now + SimDuration::from_secs(downtime_secs);
-    if t_up <= state.end {
-        sched.schedule_at(t_up, move |s: &mut ExperimentState, sc| {
-            for (i, &node) in nodes.iter().enumerate() {
-                s.cluster.set_node_up(node, true);
-                toto_trace::emit(toto_trace::EventKind::ChaosNodeRestart, || {
-                    toto_trace::EventBody::ChaosNodeRestart {
-                        node: u64::from(node.raw()),
-                    }
-                });
-                // Close the storm record once, from the shared end time.
-                if i == 0 {
-                    let redirects_now = s.admission.redirects().len() as u64;
-                    let recovery = sc.now().saturating_since(now).as_secs();
-                    if let Some(rec) = s
-                        .chaos
-                        .as_mut()
-                        .and_then(|rt| rt.report.faults.get_mut(idx))
-                    {
-                        rec.redirects_delta = redirects_now.saturating_sub(redirects_at_fault);
-                        rec.recovery_secs = Some(recovery);
-                    }
-                }
-            }
-        });
-    }
+    let record = ChaosFaultRecord::new(at_secs, "storm", None, failovers, failed_over_cores);
+    chaos_record(state, sched, record, Some((nodes, downtime_secs)));
 }
 
 #[cfg(test)]

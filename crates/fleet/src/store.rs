@@ -439,8 +439,8 @@ impl BenchEntry {
 }
 
 /// One commit's worth of benchmark samples: the unit of append in
-/// `benchdata.json`. Every writer — `bench_track`, `fleet_runner`, the
-/// scenario runner — appends whole records through the same
+/// `benchdata.json`. Every writer — `bench_track` and the scenario
+/// runner — appends whole records through the same
 /// temp-file-and-rename path, so concurrent-looking writers can never
 /// interleave partial JSON.
 #[derive(Clone, Debug, PartialEq)]

@@ -26,8 +26,8 @@
 //!    attribution aggregate into the [`record::RegionRunRecord`].
 //!
 //! The `study_region` binary compares single-ring density runs against
-//! a mixed-density region; `fleet_runner --region <spec>` runs any named
-//! or XML region spec through the worker pool.
+//! a mixed-density region; a `kind = "region"` scenario (`scenario_runner`)
+//! runs any named or XML region spec through the worker pool.
 
 pub mod plan;
 pub mod record;

@@ -6,10 +6,11 @@
 //! a pure function of its descriptor — and the fleet executor can run
 //! rings on any number of worker threads with byte-identical artifacts.
 
-use toto::experiment::ExperimentOverrides;
-use toto_chaos::{ChaosPlan, ChaosReport, FaultSpec};
+use toto::experiment::{ExperimentOverrides, ExperimentResult};
+use toto_chaos::{ChaosPlan, FaultSpec};
 use toto_fleet::{
-    FleetExecutor, FleetManifest, FleetObserver, FleetPlan, NullObserver, RunRecord, RunStore,
+    FleetExecutor, FleetManifest, FleetObserver, FleetPlan, JobOutcome, NullObserver, RunRecord,
+    RunStore,
 };
 
 use crate::plan::{build_region_plan, RegionPlan};
@@ -31,7 +32,8 @@ pub struct RegionRunner {
     pub trace: bool,
     /// Fault-injection plan applied to ring jobs (empty = none).
     pub chaos: ChaosPlan,
-    /// Restrict the chaos plan to one named ring (`--chaos plan@ring`).
+    /// Restrict the chaos plan to one named ring (a scenario's `[chaos]
+    /// ring`).
     /// `None` applies the plan to every ring.
     pub chaos_ring: Option<String>,
 }
@@ -47,15 +49,15 @@ impl Default for RegionRunner {
     }
 }
 
-/// Per-ring sidecar payloads produced by a region run.
+/// What one completed ring job produced.
 #[derive(Clone, Debug)]
-pub struct RingSidecars {
+pub struct RingOutput {
     /// Ring name (the job label).
     pub label: String,
     /// Encoded trace stream, when tracing was on.
     pub trace: Option<Vec<u8>>,
-    /// Chaos report, when the ring ran under a chaos plan.
-    pub chaos: Option<ChaosReport>,
+    /// The ring experiment's full result (its chaos report included).
+    pub result: ExperimentResult,
 }
 
 /// Everything a region run produces.
@@ -69,8 +71,8 @@ pub struct RegionRunOutput {
     pub ring_records: Vec<RunRecord>,
     /// Observational manifest (threads, wall-clock, statuses).
     pub manifest: FleetManifest,
-    /// Per-ring sidecars, spec order.
-    pub sidecars: Vec<RingSidecars>,
+    /// Per-ring outputs of the completed rings, spec order.
+    pub ring_outputs: Vec<RingOutput>,
     /// True iff every ring job completed.
     pub all_completed: bool,
     /// Total chaos invariant-oracle violations across rings.
@@ -88,7 +90,7 @@ impl RegionRunner {
             return spec;
         };
         let Some(ring) = spec.rings.iter_mut().find(|r| &r.name == ring_name) else {
-            panic!("--chaos targets unknown ring {ring_name:?}");
+            panic!("chaos plan targets unknown ring {ring_name:?}");
         };
         if ring.decommission_hour.is_none() {
             let promote = self
@@ -141,18 +143,20 @@ impl RegionRunner {
 
         let executor = FleetExecutor::new(self.threads);
         let report = executor.run(fleet.jobs(), observer);
+        let manifest = FleetManifest::from_report(fleet_name, spec.seed, &report);
+        let all_completed = report.all_completed();
 
         let mut ring_records = Vec::new();
         let mut entries = Vec::new();
-        let mut sidecars = Vec::new();
+        let mut ring_outputs = Vec::new();
         let mut region_kpis = toto_telemetry::kpi::KpiSummary::default();
         let mut region_revenue = toto_telemetry::revenue::RevenueBreakdown::default();
         let mut oracle_violations = 0;
-        for (i, (job, ring)) in fleet.jobs().iter().zip(&spec.rings).enumerate() {
-            let Some(out) = report.jobs[i].outcome.output() else {
+        for (i, (job_report, ring)) in report.jobs.into_iter().zip(&spec.rings).enumerate() {
+            let JobOutcome::Completed(out) = job_report.outcome else {
                 continue;
             };
-            let record = RunRecord::from_result(&job.label, job.seed, &out.result);
+            let record = RunRecord::from_result(&job_report.label, job_report.seed, &out.result);
             entries.push(RingEntry {
                 name: ring.name.clone(),
                 density_percent: ring.density_percent,
@@ -170,10 +174,10 @@ impl RegionRunner {
             if let Some(chaos) = &out.result.chaos {
                 oracle_violations += chaos.oracle_violations;
             }
-            sidecars.push(RingSidecars {
-                label: job.label.clone(),
-                trace: out.trace.clone(),
-                chaos: out.result.chaos.clone(),
+            ring_outputs.push(RingOutput {
+                label: job_report.label,
+                trace: out.trace,
+                result: out.result,
             });
             ring_records.push(record);
         }
@@ -190,14 +194,13 @@ impl RegionRunner {
             cross_ring_redirects: plan.redirects.len() as u64,
             out_of_region: plan.out_of_region,
         };
-        let manifest = FleetManifest::from_report(fleet_name, spec.seed, &report);
         RegionRunOutput {
             plan,
             record,
             ring_records,
             manifest,
-            sidecars,
-            all_completed: report.all_completed(),
+            ring_outputs,
+            all_completed,
             oracle_violations,
         }
     }
@@ -212,12 +215,12 @@ pub fn save_region_run(
 ) -> std::io::Result<std::path::PathBuf> {
     let fleet = &output.manifest.fleet;
     let dir = store.save_fleet(&output.manifest, &output.ring_records)?;
-    for sidecar in &output.sidecars {
-        if let Some(trace) = &sidecar.trace {
-            store.save_trace(fleet, &sidecar.label, trace)?;
+    for ring in &output.ring_outputs {
+        if let Some(trace) = &ring.trace {
+            store.save_trace(fleet, &ring.label, trace)?;
         }
-        if let Some(chaos) = &sidecar.chaos {
-            store.save_chaos(fleet, &sidecar.label, chaos)?;
+        if let Some(chaos) = &ring.result.chaos {
+            store.save_chaos(fleet, &ring.label, chaos)?;
         }
     }
     store.save_artifact(

@@ -55,7 +55,8 @@ pub struct RegionSpec {
 }
 
 impl RegionSpec {
-    /// Built-in named regions (`fleet_runner --region <name>`). Returns
+    /// Built-in named regions (`spec = "<name>"` in a scenario's
+    /// `[region]` table). Returns
     /// `None` for unknown names; [`RegionSpec::NAMED`] lists them.
     pub fn named(name: &str) -> Option<RegionSpec> {
         let ring = |name: &str, density: u32, nodes: u32| RingSpec {

@@ -6,15 +6,21 @@
 //! scenario_runner --emit [DENSITY]
 //! ```
 //!
+//! The one front-end for fleet, chaos and region runs: a density ladder,
+//! its root seed, a chaos plan and a region spec are all scenario keys.
 //! NAME is a built-in scenario (`density_sweep`, `chaos_storm`,
-//! `region_mixed4`, `pool_packing`, `cohort_mix`) or a path to a
-//! scenario TOML file. Every run is gated by the K-S validation oracle:
-//! a scenario whose synthesized workload does not fit its trained
-//! models aborts with the failing family's verdict before any
-//! simulation output is written. Artifacts (run records, manifest, the
-//! scenario source, `oracle.json`, and `sweep.json` — single-sample
-//! verdict at `--seeds 1`, dispersion statistics for `N > 1`)
-//! land under `<out>/runs/<name>/`, byte-identical at any `--threads`.
+//! `region_mixed4`, `pool_packing`, `cohort_mix`, `hyperscale`,
+//! `hyperscale_smoke`) or a path to a scenario TOML file. Every run is
+//! gated by the K-S validation oracle: a scenario whose synthesized
+//! workload does not fit its trained models aborts with the failing
+//! family's verdict before any simulation output is written. Artifacts
+//! (run records, manifest, the scenario source, `oracle.json`, and
+//! `sweep.json` — single-sample verdict at `--seeds 1`, dispersion
+//! statistics for `N > 1`) land under `<out>/runs/<name>/`,
+//! byte-identical at any `--threads`.
+//! `--trace` adds a `<label>.trace` sidecar per job (per ring for a
+//! region). The runner prints a KPI digest per job and exits 1 if a job
+//! fails or a chaos invariant oracle fires, 2 on a usage error.
 //!
 //! FILE may also be a `<Scenario>` XML spec (detected from its content):
 //! it runs as one pinned job, prints its KPI digest, and writes its run

@@ -11,10 +11,10 @@
 use crate::builtin::{builtin, NAMED_SCENARIOS};
 use crate::doc::ScenarioDoc;
 use crate::error::ScenarioError;
-use crate::runner::{io_err, run, RunOptions, RunSummary};
-use toto::experiment::{ExperimentOverrides, ExperimentResult};
+use crate::runner::{io_err, report_lines, run, RunOptions, RunSummary};
+use toto::experiment::ExperimentOverrides;
 use toto_fleet::{FleetExecutor, FleetObserver, FleetPlan, RunStore};
-use toto_spec::{EditionKind, ScenarioSpec};
+use toto_spec::ScenarioSpec;
 
 /// A resolved scenario: its source text plus where it came from.
 #[derive(Clone, Debug)]
@@ -203,43 +203,8 @@ fn run_xml(
         failed: report.failed_count(),
         chaos_violations: 0,
         oracle_families: 0,
-        report_lines: report
-            .completed()
-            .flat_map(|(_, out)| kpi_lines(&out.result))
-            .collect(),
+        report_lines: report_lines(&report),
     })
-}
-
-/// The KPI digest an XML spec run prints.
-fn kpi_lines(r: &ExperimentResult) -> Vec<String> {
-    vec![
-        format!(
-            "bootstrap: {} databases, {:.0} free cores, {:.1}% disk",
-            r.bootstrap.services.len(),
-            r.bootstrap.free_cores,
-            r.bootstrap.disk_utilization * 100.0
-        ),
-        format!(
-            "final:     {:.0} reserved cores, {:.1} TB disk",
-            r.final_reserved_cores,
-            r.final_disk_gb / 1024.0
-        ),
-        format!(
-            "redirects: {} (first at hour {:?})",
-            r.redirect_count, r.first_redirect_hour
-        ),
-        format!(
-            "failovers: {} ({:.0} cores, {:.0} BC cores)",
-            r.telemetry.failover_count(None),
-            r.telemetry.failed_over_cores(None),
-            r.telemetry.failed_over_cores(Some(EditionKind::PremiumBc))
-        ),
-        format!(
-            "revenue:   ${:.0} adjusted (${:.2} penalty)",
-            r.revenue.adjusted(),
-            r.revenue.penalty
-        ),
-    ]
 }
 
 #[cfg(test)]
@@ -322,7 +287,8 @@ mod tests {
         let summary = run_cli(&args, &toto_fleet::NullObserver).expect("XML spec runs");
         assert_eq!(summary.fleet_name, "gen5-stage-density-120");
         assert_eq!((summary.completed, summary.failed), (1, 0));
-        assert_eq!(summary.report_lines.len(), 5);
+        assert_eq!(summary.report_lines.len(), 6);
+        assert_eq!(summary.report_lines[0], "gen5-stage-density-120:");
         let store = RunStore::new(&out);
         let record = store
             .load_record("gen5-stage-density-120", "gen5-stage-density-120")

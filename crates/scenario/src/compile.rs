@@ -7,10 +7,10 @@
 //! [`KsOracle`] which the runner gates on *before* executing anything.
 //!
 //! The byte-identity contract lives here: the built-in `density_sweep`
-//! scenario must lower to exactly the plan the hard-coded `fleet_runner`
-//! default builds — same labels, same derived seeds, same overrides —
-//! which is what makes its run records reproduce the pinned artifacts
-//! byte-for-byte.
+//! scenario must lower to exactly the plan [`toto_fleet::density_fleet`]
+//! builds for the paper's ladder — same labels, same derived seeds, same
+//! overrides — which is what makes its run records reproduce the pinned
+//! artifacts under `results/runs/fleet_runner/` byte-for-byte.
 
 use crate::doc::{ScenarioDoc, ScenarioKind, SeedPolicy};
 use crate::error::ScenarioError;
@@ -23,7 +23,7 @@ use toto_region::RegionSpec;
 use toto_simcore::rng::SeedTree;
 use toto_spec::ScenarioSpec;
 
-/// Default fleet root seed — the same default `fleet_runner` uses.
+/// Default fleet root seed — the one the pinned paper-sweep records use.
 pub const DEFAULT_FLEET_SEED: u64 = 42;
 /// Default fleet run length, hours (§5.2's six-day runs).
 pub const DEFAULT_FLEET_HOURS: u64 = 144;
@@ -52,6 +52,8 @@ pub struct CompiledRegion {
     pub chaos: ChaosPlan,
     /// Restrict chaos to one named ring.
     pub chaos_ring: Option<String>,
+    /// Record per-ring trace sidecars.
+    pub trace: bool,
     /// The scenario's K-S verdicts.
     pub oracle: KsOracle,
 }
@@ -155,7 +157,7 @@ fn compile_fleet(doc: &ScenarioDoc) -> Result<CompiledFleet, ScenarioError> {
 
     // Distinct densities keep the canonical `density-{d}` labels (and so
     // the canonical derived seeds); duplicated densities need positional
-    // labels to stay unique — the same rule `fleet_runner` applies.
+    // labels to stay unique.
     let unique: std::collections::BTreeSet<u32> = schedule.densities.iter().copied().collect();
     let positional = unique.len() != schedule.densities.len();
 
@@ -258,6 +260,7 @@ fn compile_region(doc: &ScenarioDoc) -> Result<CompiledRegion, ScenarioError> {
         spec,
         chaos,
         chaos_ring,
+        trace: doc.trace,
         oracle,
     })
 }

@@ -28,8 +28,8 @@
 //!    through `toto-fleet` and writes artifacts under `results/runs/`.
 //!
 //! Determinism contract: byte-identical artifacts at any worker count,
-//! and the built-in `density_sweep` scenario reproduces the hard-coded
-//! `fleet_runner` default study byte-for-byte.
+//! and the built-in `density_sweep` scenario reproduces the pinned
+//! paper-sweep records under `results/runs/fleet_runner/` byte-for-byte.
 
 pub mod builtin;
 pub mod cli;

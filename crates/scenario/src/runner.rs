@@ -4,9 +4,9 @@
 //! scenario's K-S verdicts are checked *before* any simulation runs, so
 //! a mis-fit workload aborts with a typed
 //! [`ScenarioError::Oracle`] and writes nothing. On success, artifacts
-//! land under `results/runs/<name>/` exactly like the hard-coded
-//! drivers' — run records, manifest, optional trace/chaos sidecars —
-//! plus the scenario source (`<name>.scenario.toml`), the oracle
+//! land under `results/runs/<name>/` — run records, manifest, optional
+//! trace/chaos sidecars (and `region.json` / `region.trace` for a
+//! region) — plus the scenario source (`<name>.scenario.toml`), the oracle
 //! verdicts (`oracle.json`), and, for multi-seed sweeps, per-KPI
 //! dispersion statistics (`sweep.json`). Everything is byte-deterministic
 //! at any worker count.
@@ -17,17 +17,67 @@ use crate::error::ScenarioError;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use toto::defaults::gen5_model_set;
+use toto::experiment::ExperimentResult;
 use toto::pools::{reservation_comparison, ElasticPool};
 use toto_fabric::cluster::{Cluster, ClusterConfig, ServiceSpec};
 use toto_fabric::metrics::{MetricDef, MetricRegistry};
 use toto_fabric::plb::{Plb, PlbConfig};
-use toto_fleet::{kpis_to_json, FleetExecutor, FleetJob, FleetObserver, Json, RunRecord, RunStore};
+use toto_fleet::{
+    kpis_to_json, FleetExecutor, FleetJob, FleetObserver, FleetReport, JobOutput, Json, RunRecord,
+    RunStore,
+};
 use toto_models::compiled::CompiledModelSet;
 use toto_region::{save_region_run, RegionRunner};
 use toto_simcore::rng::SeedTree;
 use toto_simcore::time::SimTime;
 use toto_spec::EditionKind;
 use toto_stats::describe;
+
+/// The KPI digest of one completed job, headed by its label.
+fn kpi_lines(label: &str, r: &ExperimentResult) -> Vec<String> {
+    vec![
+        format!("{label}:"),
+        format!(
+            "  bootstrap: {} databases, {:.0} free cores, {:.1}% disk",
+            r.bootstrap.services.len(),
+            r.bootstrap.free_cores,
+            r.bootstrap.disk_utilization * 100.0
+        ),
+        format!(
+            "  final:     {:.0} reserved cores, {:.1} TB disk",
+            r.final_reserved_cores,
+            r.final_disk_gb / 1024.0
+        ),
+        format!(
+            "  redirects: {} (first at hour {:?})",
+            r.redirect_count, r.first_redirect_hour
+        ),
+        format!(
+            "  failovers: {} ({:.0} cores, {:.0} BC cores)",
+            r.telemetry.failover_count(None),
+            r.telemetry.failed_over_cores(None),
+            r.telemetry.failed_over_cores(Some(EditionKind::PremiumBc))
+        ),
+        format!(
+            "  revenue:   ${:.0} adjusted (${:.2} penalty)",
+            r.revenue.adjusted(),
+            r.revenue.penalty
+        ),
+    ]
+}
+
+/// One KPI digest per job of a fleet report; a job that did not
+/// complete gets a single line with its status.
+pub(crate) fn report_lines(report: &FleetReport<JobOutput>) -> Vec<String> {
+    report
+        .jobs
+        .iter()
+        .flat_map(|job| match job.outcome.output() {
+            Some(out) => kpi_lines(&job.label, &out.result),
+            None => vec![format!("{}: {}", job.label, job.outcome.status())],
+        })
+        .collect()
+}
 
 /// How to execute a compiled scenario.
 #[derive(Clone, Debug)]
@@ -68,8 +118,9 @@ pub struct RunSummary {
     /// Stream families the K-S oracle scored (all passed, or we would
     /// not be here).
     pub oracle_families: usize,
-    /// Human-readable KPI digest lines for the front-end to print (XML
-    /// spec runs; empty otherwise).
+    /// Human-readable KPI digest lines for the front-end to print: one
+    /// block per job (per ring, plus a totals line, for a region run;
+    /// empty for the pools study).
     pub report_lines: Vec<String>,
 }
 
@@ -306,7 +357,7 @@ fn run_fleet(
         failed: report.failed_count(),
         chaos_violations,
         oracle_families: fleet.oracle.families().len(),
-        report_lines: Vec::new(),
+        report_lines: report_lines(&report),
     })
 }
 
@@ -318,7 +369,7 @@ fn run_region(
 ) -> Result<RunSummary, ScenarioError> {
     let runner = RegionRunner {
         threads: options.threads,
-        trace: false,
+        trace: region.trace,
         chaos: region.chaos,
         chaos_ring: region.chaos_ring,
     };
@@ -332,6 +383,18 @@ fn run_region(
         .iter()
         .filter(|j| j.status == "completed")
         .count();
+    let mut report_lines: Vec<String> = output
+        .ring_outputs
+        .iter()
+        .flat_map(|ring| kpi_lines(&ring.label, &ring.result))
+        .collect();
+    report_lines.push(format!(
+        "region {}: adjusted revenue {:.2} $, {} cross-ring redirects, {} out-of-region creates",
+        output.record.region,
+        output.record.region_revenue.adjusted(),
+        output.record.cross_ring_redirects,
+        output.record.out_of_region
+    ));
     Ok(RunSummary {
         dir,
         fleet_name: region.fleet_name,
@@ -339,7 +402,7 @@ fn run_region(
         failed: output.manifest.jobs.len() - completed,
         chaos_violations: output.oracle_violations,
         oracle_families: region.oracle.families().len(),
-        report_lines: Vec::new(),
+        report_lines,
     })
 }
 

@@ -12,6 +12,12 @@
 
 use std::fmt;
 
+/// Deepest element nesting [`XmlElement::parse`] accepts. The parser
+/// recurses once per level, so unbounded nesting from an untrusted file
+/// would overflow the stack; every spec this workspace reads nests fewer
+/// than ten levels deep.
+const MAX_DEPTH: usize = 256;
+
 /// An XML element: name, attributes, text, children.
 #[derive(Clone, Debug, PartialEq, Eq, Default)]
 pub struct XmlElement {
@@ -165,6 +171,7 @@ impl XmlElement {
         let mut p = Parser {
             bytes: input.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_prolog()?;
         let root = p.parse_element()?;
@@ -232,6 +239,8 @@ fn unescape(s: &str) -> Result<String, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Elements open around the one being parsed.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -397,7 +406,12 @@ impl<'a> Parser<'a> {
                 self.expect_byte(b'>')?;
                 return Ok(el);
             }
+            if self.depth == MAX_DEPTH {
+                return Err(self.err(format!("elements nest deeper than {MAX_DEPTH} levels")));
+            }
+            self.depth += 1;
             el.children.push(self.parse_element()?);
+            self.depth -= 1;
         }
     }
 }
@@ -518,5 +532,26 @@ mod tests {
             cur = cur.children.into_iter().next().unwrap();
         }
         assert_eq!(cur.name, "leaf");
+    }
+
+    #[test]
+    fn nesting_past_the_depth_limit_is_a_typed_error() {
+        let deep = "<a>".repeat(200_000);
+        let err = XmlElement::parse(&deep).unwrap_err();
+        assert!(err.message.contains("nest deeper"), "{err}");
+        assert_eq!(err.offset, 3 * (MAX_DEPTH + 1));
+
+        let at_limit = format!(
+            "{}{}",
+            "<a>".repeat(MAX_DEPTH + 1),
+            "</a>".repeat(MAX_DEPTH + 1)
+        );
+        let mut el = XmlElement::parse(&at_limit).expect("the limit itself parses");
+        let mut levels = 0;
+        while let Some(child) = el.children.pop() {
+            el = child;
+            levels += 1;
+        }
+        assert_eq!(levels, MAX_DEPTH);
     }
 }

@@ -45,7 +45,7 @@ fn region_run_is_byte_identical_on_1_and_8_threads() {
             a.label
         );
     }
-    for (a, b) in serial.sidecars.iter().zip(&parallel.sidecars) {
+    for (a, b) in serial.ring_outputs.iter().zip(&parallel.ring_outputs) {
         assert_eq!(
             a.trace, b.trace,
             "ring trace {} must not depend on worker count",
@@ -65,7 +65,7 @@ fn plb_perturbation_of_one_ring_leaves_siblings_byte_identical() {
 
     // The perturbed ring's placement decisions (hence its trace) move...
     assert_ne!(
-        base.sidecars[0].trace, other.sidecars[0].trace,
+        base.ring_outputs[0].trace, other.ring_outputs[0].trace,
         "a PLB perturbation must actually change the perturbed ring"
     );
     // ...but the sibling replays byte-identically: record and trace.
@@ -75,7 +75,7 @@ fn plb_perturbation_of_one_ring_leaves_siblings_byte_identical() {
         "sibling ring record must be unaffected by the perturbation"
     );
     assert_eq!(
-        base.sidecars[1].trace, other.sidecars[1].trace,
+        base.ring_outputs[1].trace, other.ring_outputs[1].trace,
         "sibling ring trace must be byte-identical under the perturbation"
     );
     // The control plane never consumes a PLB seed at all.

@@ -7,14 +7,17 @@
 //! 1. a scenario run produces **byte-identical run records** on 1 worker
 //!    and on 8 workers;
 //! 2. the built-in `density_sweep` scenario's records are byte-identical
-//!    to the ones `density_fleet` (the `fleet_runner` default study)
+//!    to the ones `density_fleet` (the paper's four-density study, whose
+//!    144 h records are pinned under `results/runs/fleet_runner/`)
 //!    produces at the same horizon;
 //! 3. perturbing the scenario seed diverges, and the structured trace
 //!    diff names the first divergent event rather than just "differs";
 //! 4. a `--seeds N` sweep leaves the base replica byte-identical to a
 //!    single-seed run and emits per-KPI dispersion statistics; and
 //! 5. a mis-fit workload aborts with the typed K-S oracle error before
-//!    any simulation artifact is written.
+//!    any simulation artifact is written; and
+//! 6. a traced region scenario writes every ring's trace plus the region
+//!    control-plane trace, without changing a ring record.
 
 use std::fs;
 use std::path::PathBuf;
@@ -99,8 +102,9 @@ fn density_sweep_scenario_matches_the_hard_coded_fleet_byte_for_byte() {
     let reference_dir = scratch_dir("reference-fleet");
     let scenario = run_sweep(&scenario_dir, 2, 1);
 
-    // The reference: exactly what `fleet_runner` runs by default, at the
-    // same shortened horizon, stored through the same machinery.
+    // The reference: the paper's four-density fleet as `density_fleet`
+    // builds it, at the same shortened horizon, stored through the same
+    // machinery.
     let plan = density_fleet(42, &[100, 110, 120, 140], HOURS);
     let report = FleetExecutor::new(2).run(plan.jobs(), &NullObserver);
     assert!(report.all_completed());
@@ -279,4 +283,62 @@ fn misfit_workload_aborts_with_the_typed_oracle_error_before_writing() {
     );
 
     let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn traced_region_scenario_writes_ring_and_region_traces() {
+    let mut stores = Vec::new();
+    for trace in [false, true] {
+        let dir = scratch_dir(&format!("region-trace-{trace}"));
+        let source = format!(
+            "[scenario]\nname = \"ci2\"\nkind = \"region\"\nhours = {HOURS}\ntrace = {trace}\n\n\
+             [region]\nspec = \"ci2\"\n"
+        );
+        let doc = ScenarioDoc::parse(&source).expect("region scenario parses");
+        let options = RunOptions {
+            threads: 2,
+            seeds: 1,
+            out: dir.display().to_string(),
+        };
+        let summary = run(&doc, &source, &options, &NullObserver).expect("region runs");
+        assert_eq!((summary.completed, summary.failed), (2, 0));
+        stores.push((dir.clone(), RunStore::new(dir)));
+    }
+    let (plain, traced) = (&stores[0].1, &stores[1].1);
+
+    for ring in ["east", "west"] {
+        let trace = traced.trace_bytes("ci2", ring).expect("ring trace written");
+        assert!(!decode(&trace)
+            .expect("ring trace decodes")
+            .events
+            .is_empty());
+        assert!(
+            plain.trace_bytes("ci2", ring).is_err(),
+            "an untraced run writes no {ring} trace"
+        );
+        assert!(
+            plain.record_bytes("ci2", ring).expect("plain record")
+                == traced.record_bytes("ci2", ring).expect("traced record"),
+            "{ring}: tracing must not change the ring record"
+        );
+    }
+    decode(
+        &traced
+            .artifact_bytes("ci2", "region.trace")
+            .expect("region trace written"),
+    )
+    .expect("region trace decodes");
+    assert!(
+        plain
+            .artifact_bytes("ci2", "region.json")
+            .expect("plain region record")
+            == traced
+                .artifact_bytes("ci2", "region.json")
+                .expect("traced region record"),
+        "tracing must not change the region record"
+    );
+
+    for (dir, _) in &stores {
+        let _ = fs::remove_dir_all(dir);
+    }
 }
