@@ -136,13 +136,14 @@ pub struct ExperimentState {
     chaos: Option<ChaosRuntime>,
     /// Scratch for `report_metrics`' per-replica snapshot, reused every
     /// report period so the hottest periodic event allocates nothing in
-    /// steady state.
+    /// steady state. The tick's lazy report batch walks these rows, not
+    /// the cluster it is mutating.
     report_rows: Vec<ReplicaRow>,
 }
 
 /// One row of `report_metrics`' pre-collected snapshot: (id, service,
 /// node, role, edition, created_at, disk_load, mem_load). Collected
-/// before reporting because reporting mutates the cluster.
+/// before reporting because the report batch mutates the cluster.
 type ReplicaRow = (
     ReplicaId,
     u64,
@@ -281,9 +282,9 @@ impl DensityExperiment {
             by_name.insert(name, *id);
             identities.insert(id.raw(), identity);
             if edition.disk_is_persisted() {
-                naming.write(
+                naming.write_f64(
                     &persisted_state_key(ResourceKind::Disk, identity),
-                    format!("{initial_disk:?}"),
+                    *initial_disk,
                 );
             }
             let slo = catalog.get(*slo_index).expect("bootstrap SLO");
@@ -479,19 +480,31 @@ fn edition_of(tag: u64) -> EditionKind {
 /// disk and memory metrics and reports the modeled loads to the PLB.
 fn report_metrics(state: &mut ExperimentState, sched: &mut Scheduler<ExperimentState>) {
     let now = sched.now();
-    // Take/put-back: the rows are collected up front (reporting mutates
-    // the cluster) into a buffer reused across report periods. A
-    // service's replicas have consecutive ids and replicas iterate in id
-    // order, so the service lookup is cached across the run of rows that
-    // share it — one map probe per service instead of per replica.
-    let mut rows = std::mem::take(&mut state.report_rows);
+    let ExperimentState {
+        cluster,
+        naming,
+        rgmanagers,
+        billing,
+        identities,
+        chaos,
+        disk,
+        memory,
+        report_rows: rows,
+        ..
+    } = state;
+    let (disk, memory) = (*disk, *memory);
+    // The rows are snapshotted first because the batch below mutates the
+    // cluster they come from. A service's replicas have consecutive ids
+    // and replicas iterate in id order, so the service lookup is cached
+    // across the run of rows that share it — one map probe per service
+    // instead of per replica.
     rows.clear();
     let mut last_service: Option<(toto_fabric::ids::ServiceId, EditionKind, SimTime)> = None;
-    for r in state.cluster.replicas() {
+    for r in cluster.replicas() {
         let (edition, created_at) = match last_service {
             Some((sid, edition, created_at)) if sid == r.service => (edition, created_at),
             _ => {
-                let svc = state.cluster.service(r.service).expect("replica's service");
+                let svc = cluster.service(r.service).expect("replica's service");
                 let cached = (edition_of(svc.tag), svc.created_at);
                 last_service = Some((r.service, cached.0, cached.1));
                 cached
@@ -504,33 +517,31 @@ fn report_metrics(state: &mut ExperimentState, sched: &mut Scheduler<ExperimentS
             r.role,
             edition,
             created_at,
-            r.load[state.disk],
-            r.load[state.memory],
+            r.load[disk],
+            r.load[memory],
         ));
     }
+    // The PLB receives the tick's reports as one lazy batch: each is
+    // computed when the cluster pulls it (row order, disk then memory),
+    // and each touched node's cost state is refreshed once at the end.
+    // The RgManager path never reads the cluster, so the batch is
+    // decision-identical to reporting one value at a time.
     let mut last_identity: Option<(u64, u64)> = None;
-    for &(rid, service, node, role, edition, created_at, disk_load, mem_load) in &rows {
-        let identity = match last_identity {
-            Some((s, identity)) if s == service => identity,
-            _ => {
-                let identity = state.identities.get(&service).copied().unwrap_or(service);
-                last_identity = Some((service, identity));
-                identity
-            }
-        };
-        let role_kind = match role {
-            ReplicaRole::Primary => ReplicaRoleKind::Primary,
-            ReplicaRole::Secondary => ReplicaRoleKind::Secondary,
-        };
-        for (resource, metric, actual) in [
-            (ResourceKind::Disk, state.disk, disk_load),
-            (ResourceKind::Memory, state.memory, mem_load),
-        ] {
+    let reports = rows
+        .iter()
+        .flat_map(|row| {
+            [
+                (row, ResourceKind::Disk, disk, row.6),
+                (row, ResourceKind::Memory, memory, row.7),
+            ]
+        })
+        .filter_map(|(row, resource, metric, actual)| {
+            let &(rid, service, node, role, edition, created_at, _, _) = row;
             // Chaos report loss: during a lossy window the report never
             // reaches the RgManager, so the PLB keeps acting on the stale
             // previous value — losing a report is equivalent to delaying
             // it by one report period.
-            if let Some(rt) = state.chaos.as_mut() {
+            if let Some(rt) = chaos.as_mut() {
                 if let Some(p) = rt.drop_probability {
                     if rt.rng.bernoulli(p) {
                         toto_trace::emit(toto_trace::EventKind::ChaosReportDropped, || {
@@ -541,31 +552,41 @@ fn report_metrics(state: &mut ExperimentState, sched: &mut Scheduler<ExperimentS
                                 resource: resource.to_string(),
                             }
                         });
-                        continue;
+                        return None;
                     }
                 }
             }
+            let identity = match last_identity {
+                Some((s, identity)) if s == service => identity,
+                _ => {
+                    let identity = identities.get(&service).copied().unwrap_or(service);
+                    last_identity = Some((service, identity));
+                    identity
+                }
+            };
             let req = ReportRequest {
                 replica: rid.raw(),
                 service: identity,
-                role: role_kind,
+                role: match role {
+                    ReplicaRole::Primary => ReplicaRoleKind::Primary,
+                    ReplicaRole::Secondary => ReplicaRoleKind::Secondary,
+                },
                 edition,
                 resource,
                 created_at,
                 now,
                 actual_load: actual,
             };
-            let value = state.rgmanagers[node as usize].compute_report(&mut state.naming, &req);
-            state.cluster.report_load(rid, metric, value);
+            let value = rgmanagers[node as usize].compute_report(naming, &req);
             if resource == ResourceKind::Disk && role == ReplicaRole::Primary {
-                if let Some(b) = state.billing.get_mut(&service) {
+                if let Some(b) = billing.get_mut(&service) {
                     b.disk_sum += value;
                     b.disk_samples += 1;
                 }
             }
-        }
-    }
-    state.report_rows = rows;
+            Some((rid, metric, value))
+        });
+    cluster.report_loads(reports);
     let next = now + state.report_period;
     if next <= state.end {
         sched.schedule_at(next, report_metrics);

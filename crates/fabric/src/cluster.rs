@@ -149,17 +149,20 @@ pub struct Cluster {
     next_service: u64,
     next_replica: u64,
     /// Cached [`MetricRegistry::cost_of`] of each node's aggregate load,
-    /// indexed by raw node id. Refreshed by every load-mutating method, so
-    /// reads are O(1) and always bit-identical to a from-scratch recompute
-    /// (verified by [`Cluster::invariants_ok`]). This is the PLB's
-    /// hot-path base cost: placement evaluates it once per candidate node
-    /// per decision instead of once per comparator call.
+    /// indexed by raw node id. Refreshed before every load-mutating
+    /// method returns — per mutation, or once per touched node for a
+    /// [`Cluster::report_loads`] batch — so reads are O(1) and always
+    /// bit-identical to a from-scratch recompute (verified by
+    /// [`Cluster::invariants_ok`]). This is the PLB's hot-path base cost:
+    /// placement evaluates it once per candidate node per decision
+    /// instead of once per comparator call.
     node_costs: Vec<f64>,
     /// Violating `(node, metric)` pairs, maintained incrementally by
-    /// [`Cluster::refresh_node_cost`] — the same refresh-on-mutate hook
-    /// that keeps `node_costs` exact. `BTreeSet` iteration order (node
-    /// id, then metric id) is exactly the order the full scan produced,
-    /// so [`Cluster::violations`] is O(violations) without changing a
+    /// [`Cluster::refresh_node_cost`] — the same hook that keeps
+    /// `node_costs` exact, so it too is current whenever a mutating
+    /// method returns. `BTreeSet` iteration order (node id, then metric
+    /// id) is exactly the order the full scan produced, so
+    /// [`Cluster::violations`] is O(violations) without changing a
     /// single PLB decision. Down nodes stay tracked: a violation does
     /// not vanish because its host was drained.
     violation_set: BTreeSet<(NodeId, MetricId)>,
@@ -179,6 +182,10 @@ pub struct Cluster {
     /// constraints (sibling-domain avoidance) prune whole partitions
     /// before any candidate is costed.
     domain_cost_index: Vec<BTreeSet<(u64, NodeId)>>,
+    /// Bitset of nodes whose load a [`Cluster::report_loads`] batch has
+    /// written but not yet refreshed (bit = raw node id). All zero
+    /// between calls.
+    touched_nodes: Vec<u64>,
 }
 
 impl Cluster {
@@ -228,13 +235,16 @@ impl Cluster {
             violation_bits: vec![0; config.node_count as usize],
             cost_index,
             domain_cost_index,
+            touched_nodes: vec![0; (config.node_count as usize).div_ceil(64)],
         }
     }
 
     /// Recompute one node's cached cost from its current aggregate load.
-    /// Called by every mutation that touches the node's load, keeping the
-    /// cache exact (not incrementally drifted): the stored value is always
-    /// `cost_of` applied to the present load bits. The same hook keeps
+    /// Called by every mutation that touches the node's load (once per
+    /// touched node, after the last write, for a
+    /// [`Cluster::report_loads`] batch), keeping the cache exact (not
+    /// incrementally drifted): the stored value is always `cost_of`
+    /// applied to the present load bits. The same hook keeps
     /// the candidate-node index and the violation dirty-set exact, so
     /// every derived structure refreshes from one place.
     fn refresh_node_cost(&mut self, node: NodeId) {
@@ -431,7 +441,41 @@ impl Cluster {
 
     /// Update one metric of one replica's reported load; node aggregates
     /// follow. Returns the previous value. Panics on unknown replica.
+    /// The one-report case of [`Cluster::report_loads`]: the same write,
+    /// then the node's refresh.
     pub fn report_load(&mut self, replica: ReplicaId, metric: MetricId, value: f64) -> f64 {
+        let (prev, node) = self.write_report(replica, metric, value);
+        self.refresh_node_cost(node);
+        prev
+    }
+
+    /// Apply a batch of `(replica, metric, value)` load reports in the
+    /// given order, then refresh each touched node's derived state once,
+    /// in ascending node id. Loads, cached costs, the violation dirty-set
+    /// and the candidate index end bit-identical to applying the reports
+    /// one at a time through [`Cluster::report_load`]: the refresh is a
+    /// pure function of the final load. A metric report tick moves most
+    /// nodes' cost many times over, so this pays the cost-index update
+    /// once per node instead of once per report. Panics on an unknown
+    /// replica.
+    pub fn report_loads(&mut self, reports: impl IntoIterator<Item = (ReplicaId, MetricId, f64)>) {
+        for (replica, metric, value) in reports {
+            let (_, node) = self.write_report(replica, metric, value);
+            self.touched_nodes[node.0 as usize / 64] |= 1 << (node.0 % 64);
+        }
+        for w in 0..self.touched_nodes.len() {
+            let mut word = std::mem::take(&mut self.touched_nodes[w]);
+            while word != 0 {
+                self.refresh_node_cost(NodeId(w as u32 * 64 + word.trailing_zeros()));
+                word &= word - 1;
+            }
+        }
+    }
+
+    /// Write one report into the replica's and its node's load, without
+    /// refreshing the node's derived state. Returns the previous value
+    /// and the host node.
+    fn write_report(&mut self, replica: ReplicaId, metric: MetricId, value: f64) -> (f64, NodeId) {
         let rep = self
             .replica_mut(replica)
             .unwrap_or_else(|| panic!("report_load: unknown replica {replica}"));
@@ -440,8 +484,7 @@ impl Cluster {
         let node_id = rep.node;
         let node = &mut self.nodes[node_id.0 as usize];
         node.load[metric] = (node.load[metric] - prev + value).max(0.0);
-        self.refresh_node_cost(node_id);
-        prev
+        (prev, node_id)
     }
 
     /// Move a replica to another node, carrying its reported load.

@@ -9,15 +9,45 @@
 //! promoted primary reports the same disk usage as the old one.
 //!
 //! The simulation keeps it as a versioned key-value store with operation
-//! counters (so benches can report naming-service traffic).
+//! counters (so benches can report naming-service traffic). Persisted
+//! metric values are stored as typed `f64`s; their text form is rendered
+//! only when a text read asks for it.
 
 use std::collections::BTreeMap;
 
 /// A value plus the version at which it was last written.
 #[derive(Clone, Debug, PartialEq)]
 struct Entry {
-    value: String,
+    value: Value,
     version: u64,
+}
+
+/// A stored value: text, or an `f64` written by
+/// [`NamingService::write_f64`]. A typed value renders its `{:?}` text
+/// only when a text read first asks for it; `{:?}` is the shortest
+/// round-trip representation, so the text parses back to the exact bits
+/// and the two forms are interchangeable.
+#[derive(Clone, Debug, PartialEq)]
+enum Value {
+    Text(String),
+    F64 { value: f64, text: Option<String> },
+}
+
+impl Value {
+    /// The value's text, rendering (once) a typed value.
+    fn text(&mut self) -> &str {
+        match self {
+            Value::Text(text) => text,
+            Value::F64 { value, text } => text.get_or_insert_with(|| format!("{value:?}")),
+        }
+    }
+
+    fn as_f64(&self) -> Option<f64> {
+        match self {
+            Value::Text(text) => text.parse().ok(),
+            Value::F64 { value, .. } => Some(*value),
+        }
+    }
 }
 
 /// Operation counters for observability.
@@ -46,46 +76,67 @@ impl NamingService {
     }
 
     /// Write (or overwrite) a key. Returns the new version.
-    ///
-    /// Overwrites update the entry in place, reusing the stored key
-    /// allocation — persisted-metric state is rewritten every report
-    /// period, so the overwrite path is far hotter than first insert.
     pub fn write(&mut self, key: &str, value: impl Into<String>) -> u64 {
+        self.store(key, Value::Text(value.into()))
+    }
+
+    /// Write (or overwrite) a key by formatting straight into the stored
+    /// buffer. On overwrite of a text value neither the key nor the value
+    /// allocates: the existing `String` is cleared and refilled. Counts,
+    /// versions, and trace events are identical to
+    /// [`NamingService::write`].
+    pub fn write_with(&mut self, key: &str, fill: impl FnOnce(&mut String)) -> u64 {
         let version = self.bump_write();
         match self.entries.get_mut(key) {
-            Some(e) => {
-                e.value = value.into();
-                e.version = version;
+            Some(Entry {
+                value: Value::Text(text),
+                version: v,
+            }) => {
+                text.clear();
+                fill(text);
+                *v = version;
             }
-            None => {
-                self.entries.insert(
-                    key.to_string(),
-                    Entry {
-                        value: value.into(),
-                        version,
-                    },
-                );
+            other => {
+                let mut text = String::new();
+                fill(&mut text);
+                let entry = Entry {
+                    value: Value::Text(text),
+                    version,
+                };
+                match other {
+                    Some(e) => *e = entry,
+                    None => {
+                        self.entries.insert(key.to_string(), entry);
+                    }
+                }
             }
         }
         self.emit_write(key, version);
         version
     }
 
-    /// Write (or overwrite) a key by formatting straight into the stored
-    /// buffer. On overwrite neither the key nor the value allocates: the
-    /// existing value `String` is cleared and refilled. Counts, versions,
-    /// and trace events are identical to [`NamingService::write`].
-    pub fn write_with(&mut self, key: &str, fill: impl FnOnce(&mut String)) -> u64 {
+    /// Write (or overwrite) a key with an `f64`, stored as the number
+    /// itself. Counts, versions, and trace events are identical to
+    /// writing its `{:?}` text with [`NamingService::write`], and text
+    /// reads return exactly that text. Persisted-metric state is
+    /// rewritten every report period and read back with
+    /// [`NamingService::get_f64`], so the hot path never formats or
+    /// parses.
+    pub fn write_f64(&mut self, key: &str, value: f64) -> u64 {
+        self.store(key, Value::F64 { value, text: None })
+    }
+
+    /// Overwrites update the entry in place, reusing the stored key
+    /// allocation — persisted-metric state is rewritten every report
+    /// period, so the overwrite path is far hotter than first insert.
+    fn store(&mut self, key: &str, value: Value) -> u64 {
         let version = self.bump_write();
         match self.entries.get_mut(key) {
             Some(e) => {
-                e.value.clear();
-                fill(&mut e.value);
+                e.value = value;
                 e.version = version;
             }
             None => {
-                let mut value = String::new();
-                fill(&mut value);
                 self.entries
                     .insert(key.to_string(), Entry { value, version });
             }
@@ -111,25 +162,33 @@ impl NamingService {
 
     /// Read a key's value.
     pub fn read(&mut self, key: &str) -> Option<String> {
-        self.stats.reads += 1;
-        self.entries.get(key).map(|e| e.value.clone())
+        self.get(key).map(str::to_string)
     }
 
     /// Read a key's value without cloning it. Counts as a read, exactly
+    /// like [`NamingService::read`].
+    pub fn get(&mut self, key: &str) -> Option<&str> {
+        self.stats.reads += 1;
+        self.entries.get_mut(key).map(|e| e.value.text())
+    }
+
+    /// Read a key's value as an `f64`: a value written with
+    /// [`NamingService::write_f64`] comes back bit for bit, text is
+    /// parsed (`None` if it is not a number). Counts as a read, exactly
     /// like [`NamingService::read`] — the RgManager report path calls
     /// this once per persisted-metric report, which at density 140 is
     /// tens of thousands of reads per simulated hour.
-    pub fn get(&mut self, key: &str) -> Option<&str> {
+    pub fn get_f64(&mut self, key: &str) -> Option<f64> {
         self.stats.reads += 1;
-        self.entries.get(key).map(|e| e.value.as_str())
+        self.entries.get(key).and_then(|e| e.value.as_f64())
     }
 
     /// Read a key's value together with its version; useful for callers
     /// that only want to re-parse when the blob changed (RgManager's
     /// 15-minute refresh does exactly this).
     pub fn read_versioned(&mut self, key: &str) -> Option<(String, u64)> {
-        self.stats.reads += 1;
-        self.entries.get(key).map(|e| (e.value.clone(), e.version))
+        self.get_versioned(key)
+            .map(|(v, version)| (v.to_string(), version))
     }
 
     /// Borrowing variant of [`NamingService::read_versioned`]: the model
@@ -138,7 +197,9 @@ impl NamingService {
     /// just to discover the version is unchanged.
     pub fn get_versioned(&mut self, key: &str) -> Option<(&str, u64)> {
         self.stats.reads += 1;
-        self.entries.get(key).map(|e| (e.value.as_str(), e.version))
+        self.entries
+            .get_mut(key)
+            .map(|e| (e.value.text(), e.version))
     }
 
     /// Delete a key. Returns true if it existed.
@@ -229,6 +290,30 @@ mod tests {
         assert_eq!(st.reads, 2);
         assert_eq!(st.deletes, 1);
         assert!(ns.is_empty());
+    }
+
+    #[test]
+    fn typed_values_render_their_exact_text() {
+        let mut ns = NamingService::new();
+        for v in [
+            0.0,
+            -0.0,
+            5e-324,
+            f64::MIN_POSITIVE,
+            f64::MAX,
+            f64::MIN,
+            0.1,
+            1e21,
+        ] {
+            ns.write_f64("k", v);
+            assert_eq!(ns.get_f64("k").map(f64::to_bits), Some(v.to_bits()));
+            assert_eq!(ns.read("k"), Some(format!("{v:?}")));
+        }
+        ns.write("k", "not a number");
+        assert_eq!(ns.get_f64("k"), None);
+        assert_eq!(ns.get_f64("missing"), None);
+        assert_eq!(ns.stats().reads, 18);
+        assert_eq!(ns.stats().writes, 9);
     }
 
     #[test]

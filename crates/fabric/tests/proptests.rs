@@ -3,8 +3,9 @@
 
 use proptest::prelude::*;
 use toto_fabric::cluster::{Cluster, ClusterConfig, ServiceSpec};
-use toto_fabric::ids::{MetricId, NodeId, ServiceId};
+use toto_fabric::ids::{MetricId, NodeId, ReplicaId, ServiceId};
 use toto_fabric::metrics::{MetricDef, MetricRegistry};
+use toto_fabric::naming::NamingService;
 use toto_fabric::plb::{Plb, PlbConfig};
 use toto_simcore::time::SimTime;
 
@@ -500,5 +501,120 @@ proptest! {
         let b = run_placement_script(&ops, first, second, fault_domains, seed);
         prop_assert!(a.iter().any(Option::is_some));
         prop_assert_eq!(a, b, "placements diverged across identically seeded replays");
+    }
+
+    #[test]
+    fn batched_reports_match_one_report_at_a_time(
+        creates in prop::collection::vec(create_op(), 1..160),
+        reports in prop::collection::vec((0usize..4096, any::<bool>(), 0.0f64..2_600.0), 0..400),
+        downs in prop::collection::vec(0u32..128, 0..8),
+        nodes in 64u32..=128,
+        fault_domains in 1u32..=8,
+        seed: u64,
+    ) {
+        // A report tick hands the cluster its reports as one batch that
+        // refreshes each touched node once. Node loads, cached costs,
+        // the violation set and the candidate index must end bitwise
+        // equal to reporting one value at a time. Rings of 64+ nodes
+        // are where the PLB walks the candidate index; drained nodes
+        // exercise its down-node exclusion.
+        let (mut cluster, cpu, disk) = ring_cluster(nodes, fault_domains);
+        let mut plb = Plb::new(PlbConfig::default(), seed);
+        for op in creates {
+            if let PlaceOp::Create { cpu: c, disk: d, replicas } = op {
+                let mut load = cluster.metrics().zero_load();
+                load[cpu] = c;
+                load[disk] = d;
+                let spec = ServiceSpec {
+                    name: "db".into(),
+                    tag: 0,
+                    replica_count: replicas,
+                    default_load: load,
+                };
+                let _ = plb.create_service(&mut cluster, &spec, SimTime::ZERO);
+            }
+        }
+        for node in downs {
+            cluster.set_node_up(NodeId(node % nodes), false);
+        }
+        let live: Vec<ReplicaId> = cluster.replicas().map(|r| r.id).collect();
+        prop_assert!(!live.is_empty());
+        // Cpu values span 0..130 against a capacity of 96, disk values
+        // 0..2,600 against 2,000: both metrics enter and leave violation.
+        let batch: Vec<(ReplicaId, MetricId, f64)> = reports
+            .iter()
+            .map(|&(index, on_cpu, value)| {
+                let replica = live[index % live.len()];
+                if on_cpu {
+                    (replica, cpu, value / 20.0)
+                } else {
+                    (replica, disk, value)
+                }
+            })
+            .collect();
+        let mut batched = cluster.clone();
+        batched.report_loads(batch.iter().copied());
+        let mut single = cluster;
+        for &(replica, metric, value) in &batch {
+            single.report_load(replica, metric, value);
+        }
+        for (a, b) in batched.nodes().iter().zip(single.nodes()) {
+            for metric in [cpu, disk] {
+                prop_assert_eq!(a.load[metric].to_bits(), b.load[metric].to_bits(), "{} load", a.id);
+            }
+            prop_assert_eq!(batched.node_cost(a.id).to_bits(), single.node_cost(b.id).to_bits(), "{} cost", a.id);
+        }
+        for (a, b) in batched.replicas().zip(single.replicas()) {
+            for metric in [cpu, disk] {
+                prop_assert_eq!(a.load[metric].to_bits(), b.load[metric].to_bits(), "{} load", a.id);
+            }
+        }
+        prop_assert_eq!(batched.violations(), single.violations());
+        prop_assert_eq!(
+            batched.candidate_nodes_by_cost().collect::<Vec<_>>(),
+            single.candidate_nodes_by_cost().collect::<Vec<_>>()
+        );
+        for domain in 0..batched.fault_domain_count() as u32 {
+            prop_assert_eq!(
+                batched.domain_nodes_by_cost(domain).collect::<Vec<_>>(),
+                single.domain_nodes_by_cost(domain).collect::<Vec<_>>()
+            );
+        }
+        prop_assert!(batched.invariants_ok());
+        prop_assert!(single.invariants_ok());
+    }
+
+    #[test]
+    fn typed_naming_value_is_exact(bits: u64, magnitude: f64) {
+        // `write_f64` must be indistinguishable from writing the value's
+        // `{:?}` text with `write_with`: same text reads, same versions,
+        // same counters. Raw bits reach subnormals and the extremes;
+        // `magnitude` covers everyday decimals. Non-finite bit patterns
+        // are folded to finite ones by clearing the exponent's top bit.
+        let bits = if f64::from_bits(bits).is_finite() { bits } else { bits & !(1 << 62) };
+        for v in [f64::from_bits(bits), magnitude] {
+            let text = format!("{v:?}");
+            let mut typed = NamingService::new();
+            let mut texted = NamingService::new();
+            let version = typed.write_f64("k", v);
+            prop_assert_eq!(version, texted.write_with("k", |b| b.push_str(&text)));
+            prop_assert_eq!(typed.get_f64("k").map(f64::to_bits), Some(v.to_bits()));
+            prop_assert_eq!(texted.get_f64("k"), text.parse::<f64>().ok());
+            prop_assert_eq!(texted.get_f64("k").map(f64::to_bits), Some(v.to_bits()));
+            typed.get_f64("k");
+            prop_assert_eq!(typed.read("k"), Some(text.clone()));
+            prop_assert_eq!(texted.read("k"), Some(text.clone()));
+            prop_assert_eq!(typed.get_versioned("k"), Some((text.as_str(), version)));
+            prop_assert_eq!(texted.get_versioned("k"), Some((text.as_str(), version)));
+            prop_assert_eq!(typed.stats(), texted.stats());
+            // Overwrites stay in lockstep whichever form replaces which.
+            let v2 = -v / 3.0;
+            let version = typed.write("k", format!("{v2:?}"));
+            prop_assert_eq!(version, texted.write_f64("k", v2));
+            prop_assert_eq!(typed.get_f64("k").map(f64::to_bits), Some(v2.to_bits()));
+            prop_assert_eq!(texted.get_f64("k").map(f64::to_bits), Some(v2.to_bits()));
+            prop_assert_eq!(typed.get("k"), texted.get("k"));
+            prop_assert_eq!(typed.stats(), texted.stats());
+        }
     }
 }

@@ -27,9 +27,9 @@
 
 pub mod governance;
 
-use std::collections::BTreeMap;
 use toto_fabric::naming::NamingService;
 use toto_models::compiled::{CompiledModelSet, ReplicaRoleKind, SampleContext};
+use toto_simcore::collections::{det_hash_map, DetHashMap};
 use toto_simcore::time::SimTime;
 use toto_spec::model::ModelSetSpec;
 use toto_spec::{EditionKind, ResourceKind};
@@ -83,10 +83,10 @@ pub struct RgManager {
     models: Option<CompiledModelSet>,
     last_version: Option<u64>,
     /// Previous reported values for non-persisted metrics, per (replica,
-    /// resource). Lives and dies with this RgManager instance. Ordered
-    /// container: iteration must be deterministic so identically-seeded
-    /// runs stay byte-identical (D001).
-    mem_state: BTreeMap<(u64, ResourceKind), f64>,
+    /// resource). Lives and dies with this RgManager instance. Hashed:
+    /// every access is a point lookup, and the one bulk operation
+    /// (`forget_replica`'s `retain`) does not depend on iteration order.
+    mem_state: DetHashMap<(u64, ResourceKind), f64>,
     refresh_count: u64,
     /// Scratch buffer for persisted-state keys (reused across reports).
     key_scratch: String,
@@ -103,7 +103,7 @@ impl RgManager {
             node,
             models: None,
             last_version: None,
-            mem_state: BTreeMap::new(),
+            mem_state: det_hash_map(),
             refresh_count: 0,
             key_scratch: String::new(),
             seen_blob_version: None,
@@ -203,9 +203,7 @@ impl RgManager {
         };
         if model.persisted() {
             persisted_state_key_into(&mut self.key_scratch, req.resource, req.service);
-            let prev = naming
-                .get(&self.key_scratch)
-                .and_then(|v| v.parse::<f64>().ok());
+            let prev = naming.get_f64(&self.key_scratch);
             let ctx = SampleContext {
                 service: req.service,
                 node: self.node,
@@ -222,23 +220,20 @@ impl RgManager {
             );
             if req.role == ReplicaRoleKind::Primary {
                 // "only the primary replica executes the model and
-                // persists the load" (§3.3.2). Formats into the stored
-                // buffer: the steady-state overwrite allocates nothing.
-                naming.write_with(&self.key_scratch, |buf| {
-                    use std::fmt::Write;
-                    // `{:?}` preserves round-trip precision for f64.
-                    let _ = write!(buf, "{value:?}");
-                });
+                // persists the load" (§3.3.2). Stored as a typed `f64`:
+                // its text form is the exact `{:?}` rendering, produced
+                // only if a text read asks for it.
+                naming.write_f64(&self.key_scratch, value);
             }
             value
         } else {
-            // One ordered-map probe per report: the entry holds the slot
-            // for both the `prev` read and the write-back.
+            // One hash probe per report: the entry holds the slot for
+            // both the `prev` read and the write-back.
             let slot = (req.replica, req.resource);
             let entry = self.mem_state.entry(slot);
             let prev = match &entry {
-                std::collections::btree_map::Entry::Occupied(e) => Some(*e.get()),
-                std::collections::btree_map::Entry::Vacant(_) => None,
+                std::collections::hash_map::Entry::Occupied(e) => Some(*e.get()),
+                std::collections::hash_map::Entry::Vacant(_) => None,
             };
             let ctx = SampleContext {
                 service: req.service,
