@@ -6,7 +6,7 @@ use toto_fabric::cluster::{Cluster, ClusterConfig, ServiceSpec};
 use toto_fabric::ids::{MetricId, NodeId, ReplicaId, ServiceId};
 use toto_fabric::metrics::{MetricDef, MetricRegistry};
 use toto_fabric::naming::NamingService;
-use toto_fabric::plb::{Plb, PlbConfig};
+use toto_fabric::plb::{PlacementError, Plb, PlbConfig};
 use toto_simcore::time::SimTime;
 
 #[derive(Debug, Clone)]
@@ -204,6 +204,160 @@ fn run_placement_script(
         cluster.check_invariants();
     }
     decisions
+}
+
+/// Placement-memo traffic: runs of one repeated shape (the memo's hit
+/// path) mixed with fresh shapes and every mutation that restamps nodes.
+#[derive(Debug, Clone)]
+enum MemoOp {
+    Run { shape: usize, count: usize },
+    Fresh { cpu: f64, disk: f64, replicas: u32 },
+    Reports { reports: Vec<(usize, bool, f64)> },
+    SetUp { node: u32, up: bool },
+    Capacity { permille: u32 },
+    Remove { index: usize },
+    Move { index: usize, node: u32 },
+}
+
+/// The repeated shapes, `(cpu, disk, replicas)`. The last fits no node,
+/// so its runs fail with `NotEnoughNodes` on the memo's hit path; the
+/// large-disk one starts failing once disk capacity is degraded.
+const MEMO_SHAPES: [(f64, f64, u32); 5] = [
+    (2.0, 40.0, 1),
+    (4.0, 150.0, 4),
+    (8.0, 600.0, 3),
+    (24.0, 1_500.0, 2),
+    (120.0, 10.0, 1),
+];
+
+fn memo_run_op() -> impl Strategy<Value = MemoOp> {
+    (0..MEMO_SHAPES.len(), 1usize..=12).prop_map(|(shape, count)| MemoOp::Run { shape, count })
+}
+
+fn memo_op_strategy() -> impl Strategy<Value = MemoOp> {
+    // `memo_run_op` is listed three times so runs are a third of steps.
+    prop_oneof![
+        memo_run_op(),
+        memo_run_op(),
+        memo_run_op(),
+        (1.0f64..48.0, 1.0f64..1_200.0, 1u32..=4).prop_map(|(cpu, disk, replicas)| MemoOp::Fresh {
+            cpu,
+            disk,
+            replicas,
+        }),
+        prop::collection::vec((0usize..4096, any::<bool>(), 0.0f64..2_600.0), 1..24)
+            .prop_map(|reports| MemoOp::Reports { reports }),
+        (0u32..160, any::<bool>()).prop_map(|(node, up)| MemoOp::SetUp { node, up }),
+        (300u32..=1_200).prop_map(|permille| MemoOp::Capacity { permille }),
+        (0usize..256).prop_map(|index| MemoOp::Remove { index }),
+        (0usize..256, 0u32..160).prop_map(|(index, node)| MemoOp::Move { index, node }),
+    ]
+}
+
+fn shaped_spec(cluster: &Cluster, (cpu, disk, replicas): (f64, f64, u32)) -> ServiceSpec {
+    let mut load = cluster.metrics().zero_load();
+    load[MetricId(0)] = cpu;
+    load[MetricId(1)] = disk;
+    ServiceSpec {
+        name: "db".into(),
+        tag: 0,
+        replica_count: replicas,
+        default_load: load,
+    }
+}
+
+/// Place `spec` with the persistent `plb` and with a clone of it on a
+/// clone of the cluster, whose fresh identity keeps the clone's memo
+/// cold, and assert both decide alike. Then place `spec` once more from
+/// each side's post-decision state, so a divergence in RNG consumption
+/// shows even when the first decisions agreed. Returns the persistent
+/// decision.
+fn place_against_cold(
+    plb: &mut Plb,
+    cluster: &Cluster,
+    spec: &ServiceSpec,
+) -> Result<Vec<NodeId>, PlacementError> {
+    let mut cold = plb.clone();
+    let twin = cluster.clone();
+    let hot = plb.place_new_service(cluster, spec);
+    assert_eq!(
+        hot,
+        cold.place_new_service(&twin, spec),
+        "memoized decision diverged"
+    );
+    assert_eq!(
+        plb.clone().place_new_service(cluster, spec),
+        cold.place_new_service(&twin, spec),
+        "decision after a memoized one diverged"
+    );
+    hot
+}
+
+/// Run a memo script on a `nodes`-node ring, checking every placement
+/// against a cold one.
+fn run_memo_script(ops: &[MemoOp], nodes: u32, fault_domains: u32, seed: u64) {
+    let (mut cluster, _, disk) = ring_cluster(nodes, fault_domains);
+    let base_disk = cluster.metrics().def(disk).node_capacity;
+    let mut plb = Plb::new(PlbConfig::default(), seed);
+    let mut services: Vec<ServiceId> = Vec::new();
+    let mut last = shaped_spec(&cluster, MEMO_SHAPES[0]);
+    for op in ops {
+        let mut runs = Vec::new();
+        match op {
+            MemoOp::Run { shape, count } => {
+                runs.extend(std::iter::repeat_n(MEMO_SHAPES[*shape], *count));
+            }
+            &MemoOp::Fresh {
+                cpu,
+                disk,
+                replicas,
+            } => runs.push((cpu, disk, replicas)),
+            MemoOp::Reports { reports } => {
+                let live: Vec<ReplicaId> = cluster.replicas().map(|r| r.id).collect();
+                if !live.is_empty() {
+                    cluster.report_loads(reports.iter().map(|&(index, on_cpu, value)| {
+                        let replica = live[index % live.len()];
+                        if on_cpu {
+                            (replica, MetricId(0), value / 20.0)
+                        } else {
+                            (replica, disk, value)
+                        }
+                    }));
+                }
+            }
+            &MemoOp::SetUp { node, up } => cluster.set_node_up(NodeId(node % nodes), up),
+            &MemoOp::Capacity { permille } => {
+                cluster.set_metric_capacity(disk, base_disk * f64::from(permille) / 1000.0);
+            }
+            &MemoOp::Remove { index } => {
+                if !services.is_empty() {
+                    let id = services.remove(index % services.len());
+                    assert!(cluster.remove_service(id).is_some());
+                }
+            }
+            &MemoOp::Move { index, node } => {
+                if !services.is_empty() {
+                    let id = services[index % services.len()];
+                    let rid = cluster.service(id).unwrap().replicas[0];
+                    let to = NodeId(node % nodes);
+                    if !cluster.node(to).hosts_service(id) {
+                        cluster.move_replica(rid, to);
+                    }
+                }
+            }
+        }
+        for shape in runs {
+            let spec = shaped_spec(&cluster, shape);
+            if let Ok(placement) = place_against_cold(&mut plb, &cluster, &spec) {
+                services.push(cluster.add_service(&spec, &placement, SimTime::ZERO));
+            }
+            last = spec;
+        }
+        // Whatever the step was, the next placement of the last shape
+        // must still agree with a cold decision.
+        let _ = place_against_cold(&mut plb.clone(), &cluster, &last);
+        cluster.check_invariants();
+    }
 }
 
 fn build_cluster() -> (Cluster, MetricId, MetricId) {
@@ -616,5 +770,20 @@ proptest! {
             prop_assert_eq!(typed.get("k"), texted.get("k"));
             prop_assert_eq!(typed.stats(), texted.stats());
         }
+    }
+
+    #[test]
+    fn memoized_placements_match_cold_clones(
+        ops in prop::collection::vec(memo_op_strategy(), 1..60),
+        nodes in 64u32..=160,
+        fault_domains in 1u32..=8,
+        seed: u64,
+    ) {
+        // A persistent `Plb` re-costs only restamped nodes when it places
+        // the same shape on the same cluster again. Each decision must
+        // equal the one a clone of it makes on a clone of the cluster,
+        // which always recomputes every node. Debug builds also check
+        // each memoized table and ranking against a from-scratch one.
+        run_memo_script(&ops, nodes, fault_domains, seed);
     }
 }

@@ -171,7 +171,7 @@ impl Json {
     pub fn parse(input: &str) -> Result<Json, String> {
         let bytes = input.as_bytes();
         let mut pos = 0;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing data at byte {pos}"));
@@ -206,14 +206,25 @@ fn write_escaped(out: &mut String, s: &str) {
 
 // --- parser ----------------------------------------------------------------
 
+/// Deepest array/object nesting [`Json::parse`] accepts — the spec XML
+/// parser's limit. The parser recurses once per level, so without a
+/// limit a long run of `[` overflows the stack instead of failing.
+const MAX_DEPTH: usize = 256;
+
 fn skip_ws(bytes: &[u8], pos: &mut usize) {
     while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
         *pos += 1;
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Parse one value that sits inside `depth` arrays and objects.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(bytes, pos);
+    if depth == MAX_DEPTH && matches!(bytes.get(*pos), Some(b'[' | b'{')) {
+        return Err(format!(
+            "arrays and objects nest deeper than {MAX_DEPTH} levels at byte {pos}"
+        ));
+    }
     match bytes.get(*pos) {
         None => Err("unexpected end of input".to_string()),
         Some(b'n') => parse_literal(bytes, pos, "null", Json::Null),
@@ -229,7 +240,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(bytes, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -257,7 +268,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                     return Err(format!("expected ':' at byte {pos}"));
                 }
                 *pos += 1;
-                let value = parse_value(bytes, pos)?;
+                let value = parse_value(bytes, pos, depth + 1)?;
                 pairs.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -453,6 +464,16 @@ mod tests {
         let back = Json::parse(&text).unwrap();
         assert_eq!(back, value);
         assert_eq!(back.render(), text);
+    }
+
+    #[test]
+    fn nesting_is_limited_instead_of_overflowing_the_stack() {
+        assert!(Json::parse(&"[".repeat(200_000)).is_err());
+        assert!(Json::parse(&"{\"k\":".repeat(200_000)).is_err());
+        let nested = |levels: usize| format!("{}{}", "[".repeat(levels), "]".repeat(levels));
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nest deeper than 256"), "{err}");
     }
 
     #[test]

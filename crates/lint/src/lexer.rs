@@ -99,6 +99,16 @@ impl<'a> Cursor<'a> {
         Some(b)
     }
 
+    /// Bump one whole UTF-8 character, so the cursor never stops inside
+    /// a multi-byte one (the lexer slices the source at cursor
+    /// positions).
+    fn bump_char(&mut self) {
+        self.bump();
+        while self.peek().is_some_and(|b| b & 0xC0 == 0x80) {
+            self.bump();
+        }
+    }
+
     fn eof(&self) -> bool {
         self.pos >= self.bytes.len()
     }
@@ -369,7 +379,7 @@ fn lex_char_or_lifetime(c: &mut Cursor<'_>, line: usize, col: usize) -> Option<T
         // Escape or punctuation char literal: '\n', '\'', '\\', '%' …
         if first == b'\\' {
             c.bump();
-            c.bump();
+            c.bump_char();
         } else {
             c.bump();
         }
@@ -409,6 +419,12 @@ mod tests {
                 ";"
             ]
         );
+    }
+
+    #[test]
+    fn escaped_multibyte_char_literal_does_not_split_the_char() {
+        assert_eq!(texts("'\\é' x"), vec!["'\\é'", "x"]);
+        assert_eq!(texts("'\\→x"), vec!["'\\→", "x"]);
     }
 
     #[test]
