@@ -19,10 +19,9 @@ pub const RING_NODES: u32 = 14;
 /// Service count of the gen5 stage-ring fixture.
 pub const RING_SERVICES: u64 = 220;
 
-/// The gen5 Table-2 mix stretched to `nodes`: ~16 services per node, one
-/// BC (4 replicas) per seven services, same per-service loads as the
-/// 14-node fixture. Returns the cluster plus its CPU and disk metric ids.
-pub fn loaded_cluster_at(nodes: u32, services: u64) -> (Cluster, MetricId, MetricId) {
+/// An empty gen5-style ring of `nodes` 96-core nodes with `disk_gb` of
+/// disk each. Returns the cluster plus its CPU and disk metric ids.
+pub fn empty_ring(nodes: u32, disk_gb: f64) -> (Cluster, MetricId, MetricId) {
     let mut metrics = MetricRegistry::new();
     let cpu = metrics.register(MetricDef {
         name: "Cpu".into(),
@@ -31,14 +30,22 @@ pub fn loaded_cluster_at(nodes: u32, services: u64) -> (Cluster, MetricId, Metri
     });
     let disk = metrics.register(MetricDef {
         name: "Disk".into(),
-        node_capacity: 7000.0,
+        node_capacity: disk_gb,
         balancing_weight: 1.0,
     });
-    let mut cluster = Cluster::new(ClusterConfig {
+    let cluster = Cluster::new(ClusterConfig {
         node_count: nodes,
         metrics,
         fault_domains: (nodes / 2).max(7).min(nodes),
     });
+    (cluster, cpu, disk)
+}
+
+/// The gen5 Table-2 mix stretched to `nodes`: ~16 services per node, one
+/// BC (4 replicas) per seven services, same per-service loads as the
+/// 14-node fixture. Returns the cluster plus its CPU and disk metric ids.
+pub fn loaded_cluster_at(nodes: u32, services: u64) -> (Cluster, MetricId, MetricId) {
+    let (mut cluster, cpu, disk) = empty_ring(nodes, 7000.0);
     let mut plb = Plb::new(PlbConfig::default(), 9);
     let mut rng = DetRng::seed_from_u64(5);
     for i in 0..services {
